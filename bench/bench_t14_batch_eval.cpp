@@ -4,11 +4,11 @@
 //
 // Per circuit, over a fixed Rng(99) candidate set:
 //
-//  * scalar: EvalEngine with simd_eval off, score_batch on one thread —
+//  * scalar: an EvalEngine's score_candidate in a loop on one thread —
 //    one delta-COP apply/score/rollback per candidate.
-//  * block: the same engine with simd_eval on, score_block on one
-//    thread — candidates grouped K per lane block, one union-frontier
-//    sweep per block through the stamped lane kernels.
+//  * block: score_block on one thread — candidates grouped K per lane
+//    block, one union-frontier sweep per block through the stamped lane
+//    kernels.
 //  * block_mt: score_block on all hardware threads (threads x lanes).
 //
 // Every run's scores are compared bitwise against the scalar column —
@@ -76,8 +76,9 @@ struct CircuitRow {
     bool scores_identical = false;
 };
 
-/// The PR 5 scalar incremental path as recorded when it landed:
-/// results/BENCH_5.json, dag2000 candidate.engine_us. The live
+/// The scalar incremental path's dag2000 time as first recorded in
+/// results/BENCH_5.json (candidate.engine_us; that file has since been
+/// re-recorded with the gate's current per-candidate rows). The live
 /// scalar column above re-measures the same code path, but it has
 /// gotten faster since (the PR 9 CSR-native netlist), so the
 /// cross-PR "speedup over the BENCH_5 baseline" needs the recorded
@@ -117,11 +118,12 @@ CircuitRow run_circuit(const std::string& name, int repeats) {
         make_candidates(circuit, 64);
     row.candidates = candidates.size();
 
-    EvalEngine scalar(circuit, faults, objective, nullptr, 0.0,
-                      /*simd_eval=*/false);
+    EvalEngine scalar(circuit, faults, objective);
     std::vector<double> scalar_scores;
     const double scalar_ms = best_of(repeats, [&] {
-        scalar_scores = scalar.score_batch(candidates, 1);
+        scalar_scores.clear();
+        for (const TestPoint& tp : candidates)
+            scalar_scores.push_back(scalar.score_candidate(tp));
     });
 
     obs::Sink sink;

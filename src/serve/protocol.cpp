@@ -94,8 +94,8 @@ netlist::TpKind parse_kind(const std::string& name) {
 void parse_options(const Value& options, Request& request) {
     check_keys(options, "options",
                {"budget", "patterns", "planner", "seed", "deadline_ms",
-                "eval_epsilon", "exact_eval", "simd_eval", "prune_lint",
-                "prune_analysis", "max_findings",
+                "exact_eval", "prune_lint", "prune_analysis",
+                "max_findings",
                 "max_implication_nodes", "max_implication_steps",
                 "max_untestable", "sim_width", "drop_after"});
     request.budget = static_cast<int>(
@@ -109,12 +109,8 @@ void parse_options(const Value& options, Request& request) {
                             std::numeric_limits<std::uint64_t>::max());
     request.deadline_ms =
         opt_double(options, "deadline_ms", request.deadline_ms);
-    request.eval_epsilon =
-        opt_double(options, "eval_epsilon", request.eval_epsilon);
     request.exact_eval =
         opt_bool(options, "exact_eval", request.exact_eval);
-    request.simd_eval =
-        opt_bool(options, "simd_eval", request.simd_eval);
     request.prune_lint =
         opt_bool(options, "prune_lint", request.prune_lint);
     request.prune_analysis =
@@ -143,9 +139,6 @@ void parse_options(const Value& options, Request& request) {
           std::isfinite(request.deadline_ms)))
         fail(Code::Validation,
              "'deadline_ms' must be a positive finite number");
-    if (request.eval_epsilon < 0.0 ||
-        !std::isfinite(request.eval_epsilon))
-        fail(Code::Validation, "'eval_epsilon' must be non-negative");
     if (request.planner != "dp" && request.planner != "greedy" &&
         request.planner != "random")
         fail(Code::Validation, "unknown planner '" + request.planner +

@@ -92,9 +92,7 @@ struct Request {
     std::string planner = "dp";
     std::uint64_t seed = 1;
     double deadline_ms = 0.0;  ///< 0 = server default; must be > 0 if set
-    double eval_epsilon = 0.0;
-    bool exact_eval = false;
-    bool simd_eval = true;  ///< plan: lane-parallel candidate scoring
+    bool exact_eval = false;  ///< score: from-scratch evaluate_plan
     bool prune_lint = false;
     bool prune_analysis = false;  ///< plan: zero-gain observe pruning
     std::size_t max_findings = 64;

@@ -482,9 +482,6 @@ std::string Server::do_plan(const Request& request, Session& session,
     options.threads = 1;  // concurrency comes from request batching
     options.prune_via_lint = request.prune_lint;
     options.prune_via_analysis = request.prune_analysis;
-    options.incremental_eval = !request.exact_eval;
-    options.eval_epsilon = request.eval_epsilon;
-    options.simd_eval = request.simd_eval;
     options.sink = &sink;
 
     const Plan plan = planner->plan(session.circuit, options);
@@ -649,6 +646,27 @@ std::string Server::do_score(const Request& request, Session& session,
                                  "' in session circuit");
         points.push_back({node, kind});
     }
+    // Two control points, or two observation points, on one net break
+    // the apply_test_points contract on both paths below. Reject them
+    // before the warm engine is touched: a throw from its second push
+    // would discard the engine.
+    {
+        std::vector<std::pair<std::uint32_t, bool>> sites;
+        sites.reserve(points.size());
+        for (const auto& tp : points)
+            sites.emplace_back(tp.node.v, netlist::is_control(tp.kind));
+        std::sort(sites.begin(), sites.end());
+        const auto dup = std::adjacent_find(sites.begin(), sites.end());
+        if (dup != sites.end())
+            throw ServeError(
+                Code::Validation,
+                std::string("duplicate ") +
+                    (dup->second ? "control" : "observation") +
+                    " point on net '" +
+                    std::string(session.circuit.node_name(
+                        netlist::NodeId{dup->first})) +
+                    "'");
+    }
 
     Objective objective;
     objective.num_patterns = request.patterns;
@@ -663,14 +681,11 @@ std::string Server::do_score(const Request& request, Session& session,
                                    points, objective);
     } else {
         // The warm engine outlives this request, so it must not hold
-        // the per-request sink, and it is always built exact
-        // (epsilon 0): a cached engine warmed with one request's
-        // epsilon would silently skew every later request's score.
+        // the per-request sink.
         if (session.engine == nullptr ||
             !same_objective(session.engine_objective, objective)) {
             session.engine = std::make_unique<EvalEngine>(
-                session.circuit, session.faults, objective,
-                /*sink=*/nullptr, /*epsilon=*/0.0);
+                session.circuit, session.faults, objective);
             session.engine_objective = objective;
             ++session.engine_version;
         } else {

@@ -246,7 +246,6 @@ CopLaneSweep::CopLaneSweep(const IncrementalCop& cop, unsigned lanes)
     ctx_.site_observe = site_observe_;
     ctx_.site_mask = site_mask_.data();
     ctx_.lanes = lanes_;
-    ctx_.epsilon = cop.epsilon();
 
     // Dense mirror when the full node-indexed lane block fits a modest
     // budget (fault queries then stream rows sequentially and kernel

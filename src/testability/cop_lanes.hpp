@@ -72,7 +72,6 @@ struct LaneCtx {
     const std::uint8_t* site_mask = nullptr;
 
     unsigned lanes = 0;
-    double epsilon = 0.0;
 };
 
 inline constexpr std::uint32_t kNoLaneSite = 0xffffffffu;
@@ -116,8 +115,7 @@ struct LaneKernels;  // per-ISA function table, internal to cop_lanes.cpp
 /// Correctness rests on one invariant: recomputing a (lane, node) pair
 /// whose inputs did not move is a bitwise no-op, so visiting the union
 /// frontier is exactly equivalent to K independent scalar sweeps — the
-/// per-lane change masks keep unchanged lanes' stored values untouched
-/// (which is what makes the equivalence hold for epsilon > 0 too).
+/// per-lane change masks keep unchanged lanes' stored values untouched.
 /// Every lane value, override and score is bit-identical to what
 /// IncrementalCop::apply / EvalEngine::score_candidate produce for
 /// that lane's point alone (see DESIGN.md §17).

@@ -32,8 +32,8 @@ double cp_sens(TpKind kind) {
     return kind == TpKind::ControlXor ? 1.0 : 0.5;
 }
 
-IncrementalCop::IncrementalCop(const Circuit& circuit, double epsilon)
-    : circuit_(circuit), epsilon_(epsilon), csr_(circuit.topology()) {
+IncrementalCop::IncrementalCop(const Circuit& circuit)
+    : circuit_(circuit), csr_(circuit.topology()) {
     const std::size_t n = circuit.node_count();
     const CopResult base = compute_cop(circuit);
     c1_ = base.c1;
@@ -166,7 +166,7 @@ void IncrementalCop::apply(const TestPoint& point) {
                 const std::uint32_t v = nodes[k];
                 ++last_touched_;
                 const double next = recompute_c1(v);
-                if (!changed(next, c1_[v])) continue;
+                if (next == c1_[v]) continue;
                 frame.c1_undo.emplace_back(v, c1_[v]);
                 c1_[v] = next;
                 eff_[v] = eff_of(v);
@@ -208,7 +208,7 @@ void IncrementalCop::apply(const TestPoint& point) {
             const std::uint32_t v = nodes[k];
             ++last_touched_;
             const double next = recompute_drv_obs(v);
-            if (!changed(next, drv_obs_[v])) continue;
+            if (next == drv_obs_[v]) continue;
             frame.obs_undo.emplace_back(v, drv_obs_[v]);
             drv_obs_[v] = next;
             mark_changed(frame, v);
@@ -259,21 +259,6 @@ std::span<const std::uint32_t> IncrementalCop::frame_changed_nodes()
     require(!frames_.empty(),
             "IncrementalCop: no open frame to inspect");
     return frames_.back().changed;
-}
-
-void IncrementalCop::sync_from(const IncrementalCop& other) {
-    require(&circuit_ == &other.circuit_,
-            "IncrementalCop: sync_from across circuits");
-    require(frames_.empty() && other.frames_.empty(),
-            "IncrementalCop: sync_from with open frames");
-    c1_ = other.c1_;
-    eff_ = other.eff_;
-    drv_obs_ = other.drv_obs_;
-    control_ = other.control_;
-    observe_ = other.observe_;
-    ++state_version_;
-    committed_or_open_controls_ = other.committed_or_open_controls_;
-    committed_or_open_observes_ = other.committed_or_open_observes_;
 }
 
 CopResult IncrementalCop::export_cop(

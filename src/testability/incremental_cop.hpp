@@ -58,18 +58,11 @@ double cp_sens(netlist::TpKind kind);
 /// values of every touched node), so points stack: `apply` / `rollback`
 /// nest like a DFS, and `commit` collapses the newest frame into the
 /// committed state.
-///
-/// With `epsilon > 0`, a change smaller than epsilon (in absolute value)
-/// is dropped and its propagation cut off. That trades the bit-exactness
-/// guarantee for shallower cones; the default 0.0 propagates every
-/// last-ulp change.
 class IncrementalCop {
 public:
-    explicit IncrementalCop(const netlist::Circuit& circuit,
-                            double epsilon = 0.0);
+    explicit IncrementalCop(const netlist::Circuit& circuit);
 
     const netlist::Circuit& circuit() const { return circuit_; }
-    double epsilon() const { return epsilon_; }
 
     // ---- state ---------------------------------------------------------
 
@@ -111,7 +104,7 @@ public:
     std::size_t depth() const { return frames_.size(); }
 
     /// Monotonic counter bumped whenever the COP state arrays mutate
-    /// (apply, rollback, sync_from — commit only discards undo data).
+    /// (apply, rollback — commit only discards undo data).
     /// Lets borrowers (the lane sweep's dense mirror) cache derived
     /// state and revalidate in O(1).
     std::uint64_t state_version() const { return state_version_; }
@@ -124,11 +117,6 @@ public:
     /// Nodes touched (recomputed) by the last apply() — the O(touched)
     /// work measure reported to the observability layer.
     std::uint64_t last_touched() const { return last_touched_; }
-
-    /// Copy another engine's committed state (same circuit, no open
-    /// frames on either side). Used by the batch scorer's per-lane
-    /// clones to resync after a commit.
-    void sync_from(const IncrementalCop& other);
 
     /// Project the maintained state onto a materialised transform of the
     /// same base circuit carrying exactly the committed points: returns
@@ -144,12 +132,6 @@ private:
         std::vector<std::uint32_t> changed;  ///< dedup'd fault-site set
     };
 
-    bool changed(double next, double prev) const {
-        return epsilon_ > 0.0 ? (next > prev ? next - prev
-                                             : prev - next) > epsilon_
-                              : next != prev;
-    }
-
     double eff_of(std::uint32_t v) const;
     double recompute_c1(std::uint32_t v);
     double recompute_drv_obs(std::uint32_t v) const;
@@ -157,7 +139,6 @@ private:
     void mark_changed(Frame& frame, std::uint32_t node);
 
     const netlist::Circuit& circuit_;
-    double epsilon_;
 
     // The circuit's own frozen CSR topology. The cone walks are the
     // innermost loop of every planner; before the flat layout became the

@@ -11,7 +11,6 @@
 #include "obs/obs.hpp"
 #include "testability/cop.hpp"
 #include "tpi/eval_engine.hpp"
-#include "tpi/evaluate.hpp"
 #include "tpi/planners.hpp"
 #include "tpi/tree_joint_dp.hpp"
 #include "tpi/tree_obs_dp.hpp"
@@ -146,10 +145,7 @@ Plan DpPlanner::plan(const netlist::Circuit& circuit,
     // COP comes from export_cop — bit-identical to compute_cop over the
     // freshly transformed netlist — and the final predicted_score from
     // the engine's ordered benefit sum over the full universe.
-    std::optional<EvalEngine> engine;
-    if (options.incremental_eval)
-        engine.emplace(circuit, faults, options.objective, sink,
-                       options.eval_epsilon, options.simd_eval);
+    EvalEngine engine(circuit, faults, options.objective, sink);
 
     // Cross-round region reuse (the FFR-sharded fast path): observation
     // points add no nodes, so dft.node_map — and with it the transformed
@@ -162,13 +158,11 @@ Plan DpPlanner::plan(const netlist::Circuit& circuit,
     // engine's per-commit changed-node sets cover exactly; regions
     // outside them re-solve to bitwise-identical tables, so serving the
     // cached tables cannot change any plan or score. Restricted to the
-    // exact-engine observe-only configuration: with eval_epsilon > 0 the
-    // changed sets under-report, and a control point rewires fanins
+    // observe-only configuration: a control point rewires fanins
     // (TreeJointDp also reads C1 everywhere, so its inputs are not
     // localised to the changed cones).
-    const bool reuse_regions =
-        options.dp_reuse_regions && engine.has_value() && !use_control &&
-        options.allow_observe && options.eval_epsilon == 0.0;
+    const bool reuse_regions = options.dp_reuse_regions && !use_control &&
+                               options.allow_observe;
     // Keyed by region root (stable: stems only ever appear at committed
     // points, which dirty their old region). Indexed in transformed ids,
     // which equal one fixed renumbering of the base circuit.
@@ -254,9 +248,7 @@ Plan DpPlanner::plan(const netlist::Circuit& circuit,
             }
         }
 
-        const testability::CopResult cop =
-            engine ? engine->export_cop(dft)
-                   : testability::compute_cop(dft.circuit);
+        const testability::CopResult cop = engine.export_cop(dft);
 
         if (analysis_prune) {
             obs::Span prune_span(sink, "plan/analysis-prune");
@@ -541,22 +533,20 @@ Plan DpPlanner::plan(const netlist::Circuit& circuit,
                             fast_dft->observation_points.push_back(
                                 {orig, TpKind::Observe});
                         }
-                        if (engine) {
-                            engine->push({orig, tp.kind});
-                            if (reuse_regions) {
-                                // Dirty the commit's update cone (read
-                                // between push and commit, mapped into
-                                // the round-invariant transformed ids)
-                                // plus the site itself, whose allowed /
-                                // stem status flips even when its COP
-                                // value happens not to move.
-                                for (const std::uint32_t c :
-                                     engine->cop().frame_changed_nodes())
-                                    cop_dirty[dft.node_map[c].v] = 1;
-                                cop_dirty[dft.node_map[orig.v].v] = 1;
-                            }
-                            engine->commit();
+                        engine.push({orig, tp.kind});
+                        if (reuse_regions) {
+                            // Dirty the commit's update cone (read
+                            // between push and commit, mapped into the
+                            // round-invariant transformed ids) plus the
+                            // site itself, whose allowed / stem status
+                            // flips even when its COP value happens not
+                            // to move.
+                            for (const std::uint32_t c :
+                                 engine.cop().frame_changed_nodes())
+                                cop_dirty[dft.node_map[c].v] = 1;
+                            cop_dirty[dft.node_map[orig.v].v] = 1;
                         }
+                        engine.commit();
                         has_point[orig.v] = true;
                         used_units += options.cost.cost(tp.kind);
                     }
@@ -575,11 +565,7 @@ Plan DpPlanner::plan(const netlist::Circuit& circuit,
     result.candidates_pruned = pruned_count;
     result.candidates_pruned_analysis = pruned_analysis;
     result.prune_certificates = std::move(prune_certs);
-    result.predicted_score =
-        engine ? engine->evaluation().score
-               : evaluate_plan(circuit, faults, result.points,
-                               options.objective)
-                     .score;
+    result.predicted_score = engine.score();
     obs::add(sink, obs::Counter::PlanPoints, result.points.size());
     obs::add(sink, obs::Counter::CandidatesConsidered, candidate_count);
     obs::add(sink, obs::Counter::CandidatesPruned, pruned_count);

@@ -28,14 +28,12 @@ struct EvalEngine::BlockScratch {
 
 EvalEngine::EvalEngine(const netlist::Circuit& circuit,
                        const fault::CollapsedFaults& faults,
-                       const Objective& objective, obs::Sink* sink,
-                       double epsilon, bool simd_eval)
+                       const Objective& objective, obs::Sink* sink)
     : circuit_(circuit),
       faults_(faults),
       objective_(objective),
       sink_(sink),
-      cop_(circuit, epsilon),
-      simd_eval_(simd_eval) {
+      cop_(circuit) {
     // CSR of resident faults per node (a node carries at most its s-a-0
     // and s-a-1 representative).
     const std::size_t n = circuit.node_count();
@@ -116,7 +114,6 @@ void EvalEngine::commit() {
             "EvalEngine: commit requires exactly one open frame");
     fault_frames_.pop_back();
     cop_.commit();
-    ++version_;
     obs::add(sink_, obs::Counter::EngineCommits);
 }
 
@@ -147,51 +144,6 @@ double EvalEngine::score_candidate(const TestPoint& point) {
     pop();
     obs::add(sink_, obs::Counter::EngineEvaluations);
     return s;
-}
-
-void EvalEngine::sync_from(const EvalEngine& other) {
-    cop_.sync_from(other.cop_);
-    p_ = other.p_;
-    benefit_ = other.benefit_;
-    version_ = other.version_;
-}
-
-std::vector<double> EvalEngine::score_batch(
-    std::span<const TestPoint> candidates, unsigned threads) {
-    if (simd_eval_ && fault_frames_.empty())
-        return score_block(candidates, threads);
-    std::vector<double> scores(candidates.size());
-    const unsigned lanes = std::min<unsigned>(
-        util::ThreadPool::resolve(threads),
-        static_cast<unsigned>(std::max<std::size_t>(candidates.size(), 1)));
-    if (lanes <= 1) {
-        for (std::size_t i = 0; i < candidates.size(); ++i)
-            scores[i] = score_candidate(candidates[i]);
-        return scores;
-    }
-    require(fault_frames_.empty(),
-            "EvalEngine: score_batch with open frames");
-    // Materialise and sync the helper-lane clones before going
-    // parallel: inside the batch every lane (including lane 0 = this
-    // engine) mutates only its own state.
-    while (lanes_.size() + 1 < lanes) {
-        lanes_.push_back(std::make_unique<EvalEngine>(
-            circuit_, faults_, objective_, sink_, cop_.epsilon()));
-        lanes_.back()->sync_from(*this);
-        lane_version_.push_back(version_);
-    }
-    for (std::size_t l = 0; l + 1 < lanes; ++l) {
-        if (lane_version_[l] != version_) {
-            lanes_[l]->sync_from(*this);
-            lane_version_[l] = version_;
-        }
-    }
-    util::ThreadPool::shared().for_each(
-        candidates.size(), lanes, [&](std::size_t i, unsigned lane) {
-            EvalEngine& engine = lane == 0 ? *this : *lanes_[lane - 1];
-            scores[i] = engine.score_candidate(candidates[i]);
-        });
-    return scores;
 }
 
 std::vector<double> EvalEngine::score_block(

@@ -36,23 +36,18 @@ namespace tpi {
 /// exhaustive recursion (push/recurse/pop), and the DP planner's
 /// round-committed state all map onto directly.
 ///
-/// `score_batch` scores many candidates concurrently on per-lane engine
-/// clones; each candidate's score is a pure function of the committed
-/// state, so results are independent of lane assignment and the caller
-/// may reduce them deterministically (the greedy planner replays its
-/// sequential argmax loop over the score vector).
+/// `score_block` scores many candidates against the committed state in
+/// one lane-parallel sweep per block; each candidate's score is a pure
+/// function of the committed state, so results are independent of lane
+/// assignment and thread count, and the caller may reduce them
+/// deterministically (the greedy planner replays its sequential argmax
+/// loop over the score vector).
 class EvalEngine {
 public:
     /// `faults` and `circuit` are borrowed for the engine's lifetime.
-    /// `epsilon` is the delta-propagation cutoff (0 = exact, the
-    /// default; >0 trades bit-exactness for shallower update cones).
-    /// `simd_eval` routes committed-state batch scoring through the
-    /// lane-parallel block scorer (bit-identical, just faster); off
-    /// forces the scalar per-candidate clones.
     EvalEngine(const netlist::Circuit& circuit,
                const fault::CollapsedFaults& faults,
-               const Objective& objective, obs::Sink* sink = nullptr,
-               double epsilon = 0.0, bool simd_eval = true);
+               const Objective& objective, obs::Sink* sink = nullptr);
     ~EvalEngine();
 
     // ---- delta stack ---------------------------------------------------
@@ -74,15 +69,9 @@ public:
     /// Detection probability per fault of the current state.
     std::span<const double> detection_probability() const { return p_; }
 
-    /// Convenience: push + score + pop.
+    /// Push + score + pop: the per-candidate scalar path, kept as the
+    /// reference score_block is tested against.
     double score_candidate(const netlist::TestPoint& point);
-
-    /// Score every candidate against the committed state on up to
-    /// `threads` worker lanes (per-lane engine clones, synced lazily
-    /// after commits). scores[i] is independent of the lane that
-    /// computed it. threads <= 1 runs inline without touching the pool.
-    std::vector<double> score_batch(
-        std::span<const netlist::TestPoint> candidates, unsigned threads);
 
     /// Lane-parallel batch scoring against the committed state: groups
     /// candidates by FFR/cone locality into blocks of eval_lanes(),
@@ -100,8 +89,6 @@ public:
     /// width drops the block scratch (rebuilt lazily).
     void set_eval_lanes(unsigned lanes);
     unsigned eval_lanes() const { return eval_lanes_; }
-
-    bool simd_eval() const { return simd_eval_; }
 
     // ---- projection ----------------------------------------------------
 
@@ -122,7 +109,6 @@ private:
     };
 
     void refresh_changed_faults(std::vector<FaultUndo>& undo);
-    void sync_from(const EvalEngine& other);
 
     const netlist::Circuit& circuit_;
     const fault::CollapsedFaults& faults_;
@@ -139,17 +125,10 @@ private:
 
     std::vector<std::vector<FaultUndo>> fault_frames_;
 
-    // Batch-scoring lanes: clone lane L-1 serves pool lane L (lane 0 is
-    // this engine). Synced to `version_` before each parallel batch.
-    std::uint64_t version_ = 0;
-    std::vector<std::unique_ptr<EvalEngine>> lanes_;
-    std::vector<std::uint64_t> lane_version_;
-
     // Lane-parallel block scorer: one CopLaneSweep + query buffer per
     // pool worker, reused across planner rounds (the sweeps borrow
     // cop_'s committed state in place, so commits need no resync).
     struct BlockScratch;
-    bool simd_eval_;
     unsigned eval_lanes_ = 0;  ///< 0 = auto (preferred_eval_lanes)
     std::vector<std::unique_ptr<BlockScratch>> block_scratch_;
     std::vector<std::uint32_t> block_order_;

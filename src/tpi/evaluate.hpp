@@ -26,8 +26,9 @@ struct PlanEvaluation {
 
 /// Materialise `points` into the circuit, recompute COP with all inputs
 /// (including the fresh test-signal inputs) equiprobable, and score the
-/// original fault universe. This is the reference estimator shared by the
-/// greedy and exhaustive planners, and by the DP optimality tests.
+/// original fault universe. This is the from-scratch oracle the
+/// planners' EvalEngine scores are tested against bit-for-bit, and the
+/// reference path of serve `score` with `exact_eval`.
 PlanEvaluation evaluate_plan(const netlist::Circuit& circuit,
                              const fault::CollapsedFaults& faults,
                              std::span<const netlist::TestPoint> points,

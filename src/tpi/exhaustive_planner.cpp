@@ -1,9 +1,6 @@
-#include <optional>
-
 #include "fault/fault.hpp"
 #include "obs/obs.hpp"
 #include "tpi/eval_engine.hpp"
-#include "tpi/evaluate.hpp"
 #include "tpi/planners.hpp"
 #include "util/error.hpp"
 
@@ -16,10 +13,8 @@ using netlist::TpKind;
 namespace {
 
 struct Search {
-    const netlist::Circuit& circuit;
-    const fault::CollapsedFaults& faults;
     const PlannerOptions& options;
-    EvalEngine* engine = nullptr;  ///< non-null: incremental scoring
+    EvalEngine& engine;
     std::vector<TestPoint> atoms;  ///< candidate (net, kind) placements
     std::vector<TestPoint> current;
     std::vector<TestPoint> best_points;
@@ -34,16 +29,9 @@ struct Search {
 
     void evaluate_current() {
         // The engine's ordered benefit sum is bit-identical to
-        // evaluate_plan on the materialised `current`, so both paths
-        // keep the same best set under the same tie margin.
-        const double score =
-            engine != nullptr
-                ? (obs::add(options.sink,
-                            obs::Counter::EngineEvaluations),
-                   engine->score())
-                : evaluate_plan(circuit, faults, current,
-                                options.objective)
-                      .score;
+        // evaluate_plan on the materialised `current`.
+        obs::add(options.sink, obs::Counter::EngineEvaluations);
+        const double score = engine.score();
         if (score > best_score + 1e-12) {
             best_score = score;
             best_points = current;
@@ -69,11 +57,11 @@ struct Search {
             }
             if (conflict) continue;
             current.push_back(atom);
-            if (engine != nullptr) engine->push(atom);
+            engine.push(atom);
             evaluate_current();
             recurse(i + 1, budget_left - cost);
             current.pop_back();
-            if (engine != nullptr) engine->pop();
+            engine.pop();
         }
     }
 };
@@ -85,33 +73,23 @@ Plan ExhaustivePlanner::plan(const netlist::Circuit& circuit,
     validate_planner_options(options, "ExhaustivePlanner");
     const fault::CollapsedFaults faults = fault::singleton_faults(circuit);
 
-    Search search{circuit, faults, options, nullptr, {}, {}, {}, 0.0,
-                  false};
+    std::vector<TestPoint> atoms;
     for (NodeId v : circuit.all_nodes()) {
-        if (options.allow_observe)
-            search.atoms.push_back({v, TpKind::Observe});
-        for (TpKind kind : options.control_kinds)
-            search.atoms.push_back({v, kind});
+        if (options.allow_observe) atoms.push_back({v, TpKind::Observe});
+        for (TpKind kind : options.control_kinds) atoms.push_back({v, kind});
     }
     // Keep the oracle honest about its cost: the search space is
     // exponential in the budget; refuse plainly oversized instances.
-    if (search.atoms.size() > 256)
+    if (atoms.size() > 256)
         throw LimitError(
             "ExhaustivePlanner: instance too large for exhaustive search "
             "(" +
-            std::to_string(search.atoms.size()) +
+            std::to_string(atoms.size()) +
             " candidate placements, limit 256)");
 
-    std::optional<EvalEngine> engine;
-    if (options.incremental_eval) {
-        engine.emplace(circuit, faults, options.objective, options.sink,
-                       options.eval_epsilon, options.simd_eval);
-        search.engine = &*engine;
-        search.best_score = engine->score();
-    } else {
-        search.best_score =
-            evaluate_plan(circuit, faults, {}, options.objective).score;
-    }
+    EvalEngine engine(circuit, faults, options.objective, options.sink);
+    Search search{options, engine, std::move(atoms), {}, {},
+                  engine.score(), false};
     search.recurse(0, options.budget);
 
     Plan result;

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <optional>
 
 #include "analysis/prune.hpp"
 #include "fault/fault.hpp"
@@ -9,7 +8,6 @@
 #include "testability/cop.hpp"
 #include "testability/profile.hpp"
 #include "tpi/eval_engine.hpp"
-#include "tpi/evaluate.hpp"
 #include "tpi/planners.hpp"
 #include "util/error.hpp"
 
@@ -56,31 +54,24 @@ Plan GreedyPlanner::plan(const netlist::Circuit& circuit,
     std::vector<bool> has_point(circuit.node_count(), false);
     int remaining = options.budget;
     bool truncated = false;
-    // Every unit of work here is an exact evaluation (full transform +
-    // COP, or a delta-cone walk), so poll the clock on every check
-    // rather than amortised.
+    // Every unit of work here is a profile build or a batch of exact
+    // evaluations, so poll the clock on every check rather than
+    // amortised.
     const auto out_of_time = [&] {
         return options.deadline != nullptr &&
                options.deadline->expired_now();
     };
 
     // Incremental engine: committed state mirrors `points` throughout,
-    // every score it produces is bit-identical to evaluate_plan (the
-    // differential suite asserts it), so the engine path selects the
-    // same point sequence as the reference path — just without paying a
-    // full transform + COP per candidate.
-    std::optional<EvalEngine> engine;
-    if (options.incremental_eval)
-        engine.emplace(circuit, faults, options.objective, sink,
-                       options.eval_epsilon, options.simd_eval);
-    PlanEvaluation current =
-        engine ? engine->evaluation()
-               : evaluate_plan(circuit, faults, points, options.objective);
+    // and every score it produces is bit-identical to evaluate_plan on
+    // the materialised plan (the differential suite asserts it) without
+    // paying a full transform + COP per candidate.
+    EvalEngine engine(circuit, faults, options.objective, sink);
+    PlanEvaluation current = engine.evaluation();
 
     // Per-step scratch, hoisted: the mapped fault universe is rebuilt in
     // place (only the representative node ids change between steps), and
-    // the engine path's affordable-candidate batch reuses its capacity
-    // across steps.
+    // the affordable-candidate batch reuses its capacity across steps.
     fault::CollapsedFaults mapped = plan_faults;
     std::vector<TestPoint> batch;
     std::vector<std::size_t> batch_of;
@@ -106,9 +97,7 @@ Plan GreedyPlanner::plan(const netlist::Circuit& circuit,
         // Analyse the circuit with the points selected so far.
         const netlist::TransformResult dft =
             netlist::apply_test_points(circuit, points);
-        const testability::CopResult cop =
-            engine ? engine->export_cop(dft)
-                   : testability::compute_cop(dft.circuit);
+        const testability::CopResult cop = engine.export_cop(dft);
 
         for (std::size_t i = 0; i < mapped.size(); ++i)
             mapped.representatives[i].node =
@@ -301,74 +290,42 @@ Plan GreedyPlanner::plan(const netlist::Circuit& circuit,
             shortlist.resize(kept);
         }
 
+        // Batch-score the affordable candidates (lane blocks, parallel
+        // when options.threads > 1; scores are lane- and
+        // thread-independent), then run a sequential argmax over the
+        // score vector in shortlist order.
+        batch.clear();
+        batch_of.clear();
+        batch.reserve(shortlist.size());
+        for (std::size_t i = 0; i < shortlist.size(); ++i) {
+            if (options.cost.cost(shortlist[i].point.kind) > remaining)
+                continue;
+            batch.push_back(shortlist[i].point);
+            batch_of.push_back(i);
+        }
+        obs::add(sink, obs::Counter::GreedyEvaluations, batch.size());
+        const std::vector<double> scores =
+            engine.score_block(batch, options.threads);
         double best_rate = 0.0;
         int best_index = -1;
-        PlanEvaluation best_eval;
-        if (engine) {
-            // Batch-score the affordable candidates (parallel lanes when
-            // options.threads > 1; scores are lane-independent), then
-            // replay the reference path's sequential argmax over the
-            // score vector. Scores are bit-identical to evaluate_plan,
-            // so the same comparison selects the same point.
-            batch.clear();
-            batch_of.clear();
-            batch.reserve(shortlist.size());
-            for (std::size_t i = 0; i < shortlist.size(); ++i) {
-                if (options.cost.cost(shortlist[i].point.kind) > remaining)
-                    continue;
-                batch.push_back(shortlist[i].point);
-                batch_of.push_back(i);
-            }
-            obs::add(sink, obs::Counter::GreedyEvaluations, batch.size());
-            const std::vector<double> scores =
-                engine->score_batch(batch, options.threads);
-            for (std::size_t k = 0; k < batch.size(); ++k) {
-                const std::size_t i = batch_of[k];
-                const int cost =
-                    options.cost.cost(shortlist[i].point.kind);
-                const double rate = (scores[k] - current.score) / cost;
-                if (rate > best_rate + 1e-12) {
-                    best_rate = rate;
-                    best_index = static_cast<int>(i);
-                }
-            }
-        } else {
-            for (std::size_t i = 0; i < shortlist.size(); ++i) {
-                if (out_of_time()) {
-                    truncated = true;
-                    break;
-                }
-                const int cost = options.cost.cost(shortlist[i].point.kind);
-                if (cost > remaining) continue;
-                points.push_back(shortlist[i].point);
-                obs::add(sink, obs::Counter::GreedyEvaluations);
-                const PlanEvaluation eval = evaluate_plan(
-                    circuit, faults, points, options.objective);
-                points.pop_back();
-                const double rate = (eval.score - current.score) / cost;
-                if (rate > best_rate + 1e-12) {
-                    best_rate = rate;
-                    best_index = static_cast<int>(i);
-                    best_eval = eval;
-                }
+        for (std::size_t k = 0; k < batch.size(); ++k) {
+            const std::size_t i = batch_of[k];
+            const int cost = options.cost.cost(shortlist[i].point.kind);
+            const double rate = (scores[k] - current.score) / cost;
+            if (rate > best_rate + 1e-12) {
+                best_rate = rate;
+                best_index = static_cast<int>(i);
             }
         }
-        // A truncated shortlist pass may have missed the best candidate;
-        // keep what was committed so far rather than half-compare.
-        if (truncated) break;
         if (best_index < 0) break;  // no candidate improves the objective
 
         const TestPoint chosen = shortlist[best_index].point;
         points.push_back(chosen);
         has_point[chosen.node.v] = true;
         remaining -= options.cost.cost(chosen.kind);
-        if (engine) {
-            engine->push(chosen);
-            engine->commit();
-            current = engine->evaluation();
-        } else {
-            current = std::move(best_eval);
-        }
+        engine.push(chosen);
+        engine.commit();
+        current = engine.evaluation();
     }
 
     Plan result;

@@ -15,8 +15,6 @@ void validate_planner_options(const PlannerOptions& options,
             who + ": cost model requires positive per-kind costs (observe=" +
             std::to_string(options.cost.observe) +
             ", control=" + std::to_string(options.cost.control) + ")");
-    if (options.eval_epsilon < 0.0)
-        throw ValidationError(who + ": eval_epsilon must be >= 0");
 }
 
 }  // namespace tpi

@@ -48,8 +48,7 @@ struct PlannerOptions {
     int dp_joint_max_region = 600; ///< joint DP fallback threshold
 
     /// Cross-round reuse of per-FFR DP tables in the DP planner's
-    /// observe-only fast path (incremental engine on, eval_epsilon == 0,
-    /// no control kinds). Observation points add no nodes, so the
+    /// observe-only fast path (no control kinds). Observation points add no nodes, so the
     /// transformed numbering is identical in every round and a region's
     /// tables depend only on its member list, the COP on its members and
     /// their fanins, and the placement mask — all invariant for regions
@@ -73,30 +72,6 @@ struct PlannerOptions {
     /// may differ from the covering proxy; intended for 100k+-gate
     /// circuits where the per-fault profile is infeasible.
     bool greedy_flow_proxy = false;
-
-    /// Score candidates with the incremental evaluation engine
-    /// (delta-COP apply/score/rollback, see DESIGN.md §12) instead of
-    /// materialising every candidate plan through `evaluate_plan`. With
-    /// `eval_epsilon == 0` the engine is bit-identical to the oracle, so
-    /// plans and scores do not change — only the time spent producing
-    /// them. Off switches every planner back to the reference path.
-    bool incremental_eval = true;
-
-    /// Delta-propagation cutoff of the incremental engine: changes
-    /// smaller than this are dropped and their cones not re-walked.
-    /// 0 (the default) propagates every last-ulp change and preserves
-    /// bit-exactness; small positive values trade exactness for
-    /// shallower update cones on deep circuits.
-    double eval_epsilon = 0.0;
-
-    /// Score candidate batches with the lane-parallel block scorer
-    /// (`EvalEngine::score_block`): one SIMD word of doubles carries up
-    /// to eight candidates through a single union-frontier delta-COP
-    /// sweep (see DESIGN.md §17). Every plan and every score is
-    /// bit-identical with this on or off, at any lane width or thread
-    /// count — the flag only changes how fast the same numbers appear.
-    /// Only meaningful with incremental_eval on.
-    bool simd_eval = true;
 
     /// Pre-filter candidates with the lint engine: nets proven constant
     /// or unobservable (no sensitisable path to any primary output) are
@@ -182,9 +157,9 @@ struct Plan {
 
 /// Shared entry validation for every planner: throws ValidationError on
 /// a malformed cost model (a zero or negative per-kind cost would divide
-/// the greedy gain rate by zero and make budgets meaningless) or a
-/// negative eval_epsilon, and tpi::Error on a negative budget. `planner`
-/// names the caller in the message.
+/// the greedy gain rate by zero and make budgets meaningless), and
+/// tpi::Error on a negative budget. `planner` names the caller in the
+/// message.
 void validate_planner_options(const PlannerOptions& options,
                               std::string_view planner);
 

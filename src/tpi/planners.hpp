@@ -19,7 +19,7 @@ public:
 
 /// The classic testability-measure greedy baseline: each step ranks
 /// candidate (net, kind) pairs by a cheap COP-local proxy, exactly
-/// re-evaluates the most promising ones (full transform + COP), inserts
+/// re-evaluates the most promising ones (EvalEngine::score_block), inserts
 /// the best, and repeats until the budget is spent or no candidate helps.
 class GreedyPlanner final : public Planner {
 public:
@@ -37,7 +37,8 @@ public:
 };
 
 /// Exact oracle: enumerates every placement set within budget and keeps
-/// the best under evaluate_plan. Exponential — small circuits only; used
+/// the best under the COP objective (EvalEngine scores, bit-identical to
+/// evaluate_plan). Exponential — small circuits only; used
 /// by the DP optimality experiments (Table 2) and tests.
 class ExhaustivePlanner final : public Planner {
 public:

@@ -1,6 +1,5 @@
 #include "fault/fault.hpp"
 #include "tpi/eval_engine.hpp"
-#include "tpi/evaluate.hpp"
 #include "tpi/planners.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -48,22 +47,14 @@ Plan RandomPlanner::plan(const netlist::Circuit& circuit,
     result.points = std::move(points);
     result.truncated = truncated;
     const fault::CollapsedFaults faults = fault::singleton_faults(circuit);
-    if (options.incremental_eval) {
-        // Score the sampled plan through the engine (bit-identical to
-        // evaluate_plan; avoids materialising the transformed netlist).
-        EvalEngine engine(circuit, faults, options.objective,
-                          options.sink, options.eval_epsilon);
-        for (const TestPoint& tp : result.points) {
-            engine.push(tp);
-            engine.commit();
-        }
-        result.predicted_score = engine.evaluation().score;
-    } else {
-        result.predicted_score =
-            evaluate_plan(circuit, faults, result.points,
-                          options.objective)
-                .score;
+    // Score the sampled plan through the engine (bit-identical to
+    // evaluate_plan; avoids materialising the transformed netlist).
+    EvalEngine engine(circuit, faults, options.objective, options.sink);
+    for (const TestPoint& tp : result.points) {
+        engine.push(tp);
+        engine.commit();
     }
+    result.predicted_score = engine.score();
     return result;
 }
 

@@ -1,7 +1,5 @@
 #include "tpi/threshold.hpp"
 
-#include <optional>
-
 #include "fault/fault.hpp"
 #include "tpi/eval_engine.hpp"
 #include "util/error.hpp"
@@ -27,18 +25,12 @@ ThresholdResult solve_min_points(const netlist::Circuit& circuit,
     // pushing its points as a rolled-back delta stack (bit-identical to
     // evaluate_plan) instead of re-transforming the circuit per budget.
     // Constructed after the objective fixup above so thresholds match.
-    std::optional<EvalEngine> engine;
-    if (base_options.incremental_eval)
-        engine.emplace(circuit, faults, base_options.objective,
-                       base_options.sink, base_options.eval_epsilon,
-                       base_options.simd_eval);
+    EvalEngine engine(circuit, faults, base_options.objective,
+                      base_options.sink);
     const auto evaluate = [&](std::span<const netlist::TestPoint> points) {
-        if (!engine)
-            return evaluate_plan(circuit, faults, points,
-                                 base_options.objective);
-        for (const netlist::TestPoint& tp : points) engine->push(tp);
-        PlanEvaluation eval = engine->evaluation();
-        for (std::size_t i = 0; i < points.size(); ++i) engine->pop();
+        for (const netlist::TestPoint& tp : points) engine.push(tp);
+        PlanEvaluation eval = engine.evaluation();
+        for (std::size_t i = 0; i < points.size(); ++i) engine.pop();
         return eval;
     };
     const auto meets = [&](const PlanEvaluation& eval) {

@@ -12,8 +12,11 @@
 cli="$1"
 [ -x "$cli" ] || { echo "usage: run_interrupt.sh <tpidp>"; exit 2; }
 
-out=$(timeout --preserve-status -s INT 0.5 "$cli" atpg dag500 \
-      --metrics-json - 2>&1)
+# --foreground: signal only the CLI. Without it, timeout also signals
+# its own process group, which holds the CLI, and a second SIGINT is the
+# CLI's cue to exit 130 at once.
+out=$(timeout --foreground --preserve-status -s INT 0.5 "$cli" atpg \
+      dag500 --metrics-json - 2>&1)
 code=$?
 if [ "$code" -ne 5 ]; then
     echo "expected exit 5 after SIGINT, got $code"

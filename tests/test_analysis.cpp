@@ -33,6 +33,8 @@
 #include "tpi/threshold.hpp"
 #include "util/error.hpp"
 
+#include "reference_plans.hpp"
+
 namespace {
 
 using namespace tpi;
@@ -509,35 +511,37 @@ TEST(PodemDifferential, RandomDagCorpus) {
 // Planner plan identity: prune_via_analysis changes nothing but time
 // ---------------------------------------------------------------------
 
-PlannerOptions plan_options(int budget, unsigned threads,
-                            bool incremental, bool prune) {
+PlannerOptions plan_options(int budget, unsigned threads, bool prune) {
     PlannerOptions options;
     options.budget = budget;
     options.objective.num_patterns = 1024;
     options.threads = threads;
-    options.incremental_eval = incremental;
     options.prune_via_analysis = prune;
     return options;
 }
 
 void expect_plan_identical(Planner& planner, const Circuit& c, int budget,
                            const char* what) {
+    // Both sides must also reproduce the plans recorded on the
+    // from-scratch evaluate_plan reference path.
+    const testref::ReferencePlan* ref_off = testref::find_reference_plan(
+        "identity", planner.name(), what, budget, false);
+    const testref::ReferencePlan* ref_on = testref::find_reference_plan(
+        "identity", planner.name(), what, budget, true);
+    ASSERT_NE(ref_off, nullptr) << what << " " << planner.name();
+    ASSERT_NE(ref_on, nullptr) << what << " " << planner.name();
     for (const unsigned threads : {1u, 2u, 8u}) {
-        for (const bool incremental : {true, false}) {
-            if (!incremental && threads != 1) continue;
-            const Plan off = planner.plan(
-                c, plan_options(budget, threads, incremental, false));
-            const Plan on = planner.plan(
-                c, plan_options(budget, threads, incremental, true));
-            EXPECT_EQ(off.points, on.points)
-                << what << " " << planner.name() << " threads " << threads
-                << " incremental " << incremental;
-            // Bitwise score identity, not approximate equality: pruning
-            // removes only candidates whose score delta is exactly 0.0.
-            EXPECT_EQ(off.predicted_score, on.predicted_score)
-                << what << " " << planner.name() << " threads " << threads;
-            EXPECT_EQ(off.candidates_pruned_analysis, 0u);
-        }
+        SCOPED_TRACE(std::string(what) + " " + std::string(planner.name()) +
+                     " threads " + std::to_string(threads));
+        const Plan off = planner.plan(c, plan_options(budget, threads, false));
+        const Plan on = planner.plan(c, plan_options(budget, threads, true));
+        EXPECT_EQ(off.points, on.points);
+        // Bitwise score identity, not approximate equality: pruning
+        // removes only candidates whose score delta is exactly 0.0.
+        EXPECT_EQ(off.predicted_score, on.predicted_score);
+        EXPECT_EQ(off.candidates_pruned_analysis, 0u);
+        testref::expect_plan_matches(*ref_off, c, off);
+        testref::expect_plan_matches(*ref_on, c, on);
     }
 }
 
@@ -565,7 +569,7 @@ TEST(PlanIdentity, TransparentCircuitPrunesEverythingAndPlansNothing) {
     // candidate is dropped — and the plan stays identical (empty).
     const Circuit c = gen::parity_tree(32);
     DpPlanner planner;
-    PlannerOptions options = plan_options(8, 1, true, true);
+    PlannerOptions options = plan_options(8, 1, true);
     options.control_kinds.clear();  // observe-only planning
     const Plan plan = planner.plan(c, options);
     EXPECT_TRUE(plan.points.empty());
@@ -581,7 +585,7 @@ TEST(PlanIdentity, ThresholdSweepAcceptsAtSameBudget) {
     DpPlanner planner;
     ThresholdGoal goal;
     goal.min_detection = 0.05;
-    PlannerOptions base = plan_options(0, 2, true, false);
+    PlannerOptions base = plan_options(0, 2, false);
     const ThresholdResult off =
         solve_min_points(c, planner, base, goal, 4);
     base.prune_via_analysis = true;
@@ -603,7 +607,7 @@ TEST(PlanIdentity, PruneCertificatesReplayAgainstOriginalCircuit) {
         for (Planner* planner : {static_cast<Planner*>(&dp),
                                  static_cast<Planner*>(&greedy)}) {
             const Plan plan =
-                planner->plan(c, plan_options(3, 1, true, true));
+                planner->plan(c, plan_options(3, 1, true));
             if (plan.candidates_pruned_analysis > 0)
                 EXPECT_FALSE(plan.prune_certificates.empty())
                     << name << " " << planner->name();
@@ -619,7 +623,7 @@ TEST(PlanIdentity, PrunedCounterIsReportedToSink) {
     const Circuit c = gen::suite_entry("dag500").build();
     obs::Sink sink;
     DpPlanner planner;
-    PlannerOptions options = plan_options(3, 1, true, true);
+    PlannerOptions options = plan_options(3, 1, true);
     options.sink = &sink;
     const Plan plan = planner.plan(c, options);
     EXPECT_EQ(sink.value(obs::Counter::CandidatesPrunedAnalysis),

@@ -1,12 +1,13 @@
 // Differential suite for the incremental evaluation engine.
 //
-// The contract under test: with eval_epsilon == 0, every quantity the
-// engine maintains — COP state, per-fault detection probabilities, the
-// objective score, full plan evaluations, and the exported CopResult —
-// is *bit-identical* to the reference path that materialises the plan
-// with apply_test_points and recomputes COP from scratch. The planner
-// tests then assert the consequence: every planner produces the
-// identical plan with the engine on and off, at every thread count.
+// The contract under test: every quantity the engine maintains — COP
+// state, per-fault detection probabilities, the objective score, full
+// plan evaluations, and the exported CopResult — is *bit-identical* to
+// the oracle that materialises the plan with apply_test_points and
+// recomputes COP from scratch. The planner tests then assert the
+// consequence: every planner reproduces the plans the from-scratch
+// reference path recorded (tests/reference_plans.hpp), at every thread
+// count.
 
 #include <gtest/gtest.h>
 
@@ -23,9 +24,10 @@
 #include "tpi/eval_engine.hpp"
 #include "tpi/evaluate.hpp"
 #include "tpi/planners.hpp"
-#include "tpi/threshold.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+
+#include "reference_plans.hpp"
 
 namespace {
 
@@ -262,10 +264,10 @@ TEST_P(EvalEngineDifferential, BatchScoresAreLaneIndependent) {
         candidates.push_back({node, kKinds[rng.below(4)]});
     }
     const std::vector<double> serial =
-        engine.score_batch(candidates, 1);
+        engine.score_block(candidates, 1);
     for (unsigned threads : {2u, 8u}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
-        EXPECT_EQ(serial, engine.score_batch(candidates, threads));
+        EXPECT_EQ(serial, engine.score_block(candidates, threads));
     }
     // And against the oracle.
     for (std::size_t i = 0; i < candidates.size(); ++i) {
@@ -289,9 +291,10 @@ TEST_P(EvalEngineDifferential, BatchAfterCommitsResyncsLanes) {
             static_cast<std::uint32_t>(rng.below(circuit.node_count()))};
         candidates.push_back({node, kKinds[rng.below(4)]});
     }
-    // Warm the lane clones on the empty base, then commit a point and
-    // re-batch: stale clones must resync before scoring.
-    (void)engine.score_batch(candidates, 8);
+    // Warm the per-worker block scratch on the empty base, then commit
+    // a point and re-batch: the sweeps borrow the committed state in
+    // place, so the next batch must see the commit.
+    (void)engine.score_block(candidates, 8);
     std::vector<TestPoint> committed;
     for (const TestPoint& tp : candidates) {
         if (netlist::is_control(tp.kind)) continue;
@@ -312,7 +315,7 @@ TEST_P(EvalEngineDifferential, BatchAfterCommitsResyncsLanes) {
         remaining.push_back(tp);
     }
     const std::vector<double> parallel =
-        engine.score_batch(remaining, 8);
+        engine.score_block(remaining, 8);
     for (std::size_t i = 0; i < remaining.size(); ++i) {
         std::vector<TestPoint> plan = committed;
         plan.push_back(remaining[i]);
@@ -342,25 +345,6 @@ TEST(EvalEngineDifferential, ThresholdObjectiveAlsoBitIdentical) {
     }
 }
 
-TEST(EvalEngineDifferential, EpsilonCutoffStaysNearTheOracle) {
-    const Circuit circuit = gen::suite_entry("dag500").build();
-    const fault::CollapsedFaults faults = fault::singleton_faults(circuit);
-    const Objective objective;
-    EvalEngine engine(circuit, faults, objective, nullptr,
-                      /*epsilon=*/1e-6);
-    util::Rng rng(13);
-    for (int trial = 0; trial < 8; ++trial) {
-        const NodeId node{
-            static_cast<std::uint32_t>(rng.below(circuit.node_count()))};
-        const TestPoint tp{node, kKinds[rng.below(4)]};
-        const double oracle =
-            evaluate_plan(circuit, faults, {{tp}}, objective).score;
-        // Approximate mode: close, not bitwise.
-        EXPECT_NEAR(oracle, engine.score_candidate(tp),
-                    1e-3 * (1.0 + std::abs(oracle)));
-    }
-}
-
 TEST(EvalEngineDifferential, EngineCountersAreRecorded) {
     const Circuit circuit = gen::suite_entry("c17").build();
     const fault::CollapsedFaults faults = fault::singleton_faults(circuit);
@@ -376,87 +360,31 @@ TEST(EvalEngineDifferential, EngineCountersAreRecorded) {
 }
 
 // ---------------------------------------------------------------------
-// Planners: identical plans with the engine on and off
-
-template <typename PlannerT>
-void expect_planner_engine_invariant(const char* bench, int budget,
-                                     std::initializer_list<unsigned>
-                                         thread_counts) {
-    const Circuit circuit = gen::suite_entry(bench).build();
-    PlannerT planner;
-    PlannerOptions options;
-    options.budget = budget;
-    options.objective.num_patterns = 2048;
-
-    options.incremental_eval = false;
-    options.threads = 1;
-    const Plan reference = planner.plan(circuit, options);
-
-    options.incremental_eval = true;
-    for (unsigned threads : thread_counts) {
-        SCOPED_TRACE(std::string(bench) +
-                     " threads=" + std::to_string(threads));
-        options.threads = threads;
-        const Plan incremental = planner.plan(circuit, options);
-        EXPECT_EQ(reference.points, incremental.points);
-        EXPECT_EQ(reference.predicted_score, incremental.predicted_score);
-        EXPECT_EQ(reference.truncated, incremental.truncated);
-    }
-}
+// Planners: the engine-only planners reproduce the plans the
+// from-scratch evaluate_plan reference path recorded
 
 TEST(PlannerEngineDifferential, GreedyIsInvariant) {
-    for (const char* bench : {"c17", "cmp32", "dag500"})
-        expect_planner_engine_invariant<GreedyPlanner>(bench, 6,
-                                                       {1u, 2u, 8u});
+    testref::expect_reference_plans("engine", "greedy");
 }
 
 TEST(PlannerEngineDifferential, DpIsInvariant) {
-    for (const char* bench : {"cmp32", "aochain32", "dag500"})
-        expect_planner_engine_invariant<DpPlanner>(bench, 6, {1u, 2u, 8u});
+    testref::expect_reference_plans("engine", "dp");
 }
 
 TEST(PlannerEngineDifferential, RandomIsInvariant) {
-    expect_planner_engine_invariant<RandomPlanner>("cmp32", 6, {1u, 8u});
+    testref::expect_reference_plans("engine", "random");
 }
 
 TEST(PlannerEngineDifferential, ExhaustiveIsInvariant) {
-    expect_planner_engine_invariant<ExhaustivePlanner>("c17", 2, {1u});
+    testref::expect_reference_plans("engine", "exhaustive");
 }
 
 TEST(PlannerEngineDifferential, GreedyWithPruningIsInvariant) {
-    const Circuit circuit = gen::suite_entry("cmp32").build();
-    GreedyPlanner planner;
-    PlannerOptions options;
-    options.budget = 4;
-    options.objective.num_patterns = 1024;
-    options.prune_via_lint = true;
-
-    options.incremental_eval = false;
-    const Plan reference = planner.plan(circuit, options);
-    options.incremental_eval = true;
-    const Plan incremental = planner.plan(circuit, options);
-    EXPECT_EQ(reference.points, incremental.points);
-    EXPECT_EQ(reference.predicted_score, incremental.predicted_score);
+    testref::expect_reference_plans("engine-lint", "greedy");
 }
 
 TEST(PlannerEngineDifferential, ThresholdSweepIsInvariant) {
-    const Circuit circuit = gen::suite_entry("cmp32").build();
-    DpPlanner planner;
-    PlannerOptions options;
-    options.objective.num_patterns = 1024;
-    ThresholdGoal goal;
-    goal.estimated_coverage = 0.9;
-
-    options.incremental_eval = false;
-    const ThresholdResult reference =
-        solve_min_points(circuit, planner, options, goal, 6);
-    options.incremental_eval = true;
-    const ThresholdResult incremental =
-        solve_min_points(circuit, planner, options, goal, 6);
-    EXPECT_EQ(reference.feasible, incremental.feasible);
-    EXPECT_EQ(reference.budget_used, incremental.budget_used);
-    EXPECT_EQ(reference.plan.points, incremental.plan.points);
-    EXPECT_EQ(reference.evaluation.score, incremental.evaluation.score);
+    testref::expect_reference_sweep("engine");
 }
 
 // ---------------------------------------------------------------------
@@ -484,14 +412,6 @@ TEST(PlannerOptionsValidation, NegativeControlCostIsRejected) {
     EXPECT_THROW(greedy.plan(circuit, options), ValidationError);
     DpPlanner dp;
     EXPECT_THROW(dp.plan(circuit, options), ValidationError);
-}
-
-TEST(PlannerOptionsValidation, NegativeEpsilonIsRejected) {
-    const Circuit circuit = gen::suite_entry("c17").build();
-    PlannerOptions options;
-    options.eval_epsilon = -1e-9;
-    GreedyPlanner greedy;
-    EXPECT_THROW(greedy.plan(circuit, options), ValidationError);
 }
 
 TEST(PlannerOptionsValidation, ErrorCodeMapsToValidationExit) {

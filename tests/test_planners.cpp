@@ -376,25 +376,11 @@ TEST(DpPlanner, RegionReuseIsBitIdentical) {
     }
 }
 
-// With the engine off (no changed-node sets) or a control-point mix
-// (joint DP), the planner must quietly fall back to the rebuild path —
-// same plans, nothing served from the cache.
+// With a control-point mix (joint DP), the planner must quietly fall
+// back to the rebuild path — same plans, nothing served from the cache.
 TEST(DpPlanner, RegionReuseFallsBackOutsideFastPath) {
     const Circuit circuit = gen::suite_entry("cmp32").build();
     DpPlanner planner;
-
-    PlannerOptions no_engine = default_options(6, 1024);
-    no_engine.control_kinds.clear();
-    no_engine.dp_rounds = 3;
-    no_engine.incremental_eval = false;
-    obs::Sink sink_a;
-    no_engine.sink = &sink_a;
-    PlannerOptions no_engine_off = no_engine;
-    no_engine_off.dp_reuse_regions = false;
-    no_engine_off.sink = nullptr;
-    EXPECT_EQ(planner.plan(circuit, no_engine).points,
-              planner.plan(circuit, no_engine_off).points);
-    EXPECT_EQ(sink_a.value(obs::Counter::DpRegionsReused), 0u);
 
     PlannerOptions joint = default_options(6, 1024);  // control kinds on
     joint.dp_rounds = 3;

@@ -112,6 +112,28 @@ TEST(ServeProtocol, RejectsUnknownMethodAndUnknownKey) {
     }
 }
 
+// Planners have one scoring path, so no request key selects one:
+// `simd_eval` and `eval_epsilon` are unknown keys, and `exact_eval`
+// is the score method's reference-path switch.
+TEST(ServeProtocol, RejectsRemovedScoringKeys) {
+    for (const char* key : {"simd_eval", "eval_epsilon"}) {
+        try {
+            serve::parse_request(
+                std::string(R"({"method": "plan", "session": "s", )"
+                            R"("options": {")") +
+                key + R"(": 0}})");
+            FAIL() << "accepted " << key;
+        } catch (const serve::ServeError& e) {
+            EXPECT_EQ(e.serve_code(), Code::Usage) << key;
+        }
+    }
+    EXPECT_TRUE(serve::parse_request(
+                    R"({"method": "score", "session": "s", "points": )"
+                    R"([{"node": "a", "kind": "OP"}], )"
+                    R"("options": {"exact_eval": true}})")
+                    .exact_eval);
+}
+
 TEST(ServeProtocol, RequiresSessionExceptForPingAndInfo) {
     EXPECT_NO_THROW(serve::parse_request(R"({"method": "ping"})"));
     EXPECT_NO_THROW(serve::parse_request(R"({"method": "info"})"));
@@ -410,6 +432,98 @@ TEST(ServeIsolation, ErroredRequestNeverTouchesCopOrFaultState) {
     EXPECT_EQ(server.session_fingerprint("pure"), before);
 }
 
+// Two control points, or two observation points, on one net break the
+// transform contract. `score` rejects them as a validation error on the
+// warm-engine and the exact_eval path alike, before the engine is
+// touched: the session keeps its warm engine and its version.
+TEST(ServeIsolation, DuplicatePointsOnOneNetAreAValidationError) {
+    serve::Server server({});
+    server.execute_line(open_line("dup"));
+    const auto score = [&](const std::string& points,
+                           const char* options) {
+        return server.execute_line(
+            R"({"method": "score", "session": "dup", "points": )" +
+            points + R"(, "options": )" + options +
+            R"(, "report": false})");
+    };
+    const auto result_field = [](const std::string& response,
+                                 const char* key) {
+        obs::json::Value doc;
+        std::string error;
+        EXPECT_TRUE(obs::json::parse(response, doc, error)) << error;
+        const obs::json::Value* result = doc.find("result");
+        const obs::json::Value* field =
+            result != nullptr ? result->find(key) : nullptr;
+        EXPECT_NE(field, nullptr) << response;
+        return field != nullptr ? *field : obs::json::Value{};
+    };
+    const std::string plain = R"([{"node": "w1", "kind": "OP"}])";
+    const std::string first = score(plain, "{}");
+    ASSERT_EQ(response_code(first), "") << first;
+    EXPECT_EQ(result_field(first, "engine_version").number, 1.0);
+
+    for (const char* points :
+         {R"([{"node": "w1", "kind": "CP-AND"}, )"
+          R"({"node": "w1", "kind": "CP-OR"}])",
+          R"([{"node": "w2", "kind": "OP"}, {"node": "w1", "kind": "OP"}, )"
+          R"({"node": "w2", "kind": "OP"}])"}) {
+        for (const char* options : {"{}", R"({"exact_eval": true})"}) {
+            const std::string response = score(points, options);
+            EXPECT_EQ(response_code(response), "validation")
+                << points << " " << options << "\n" << response;
+        }
+    }
+    // A control and an observation point on one net are both legal.
+    EXPECT_EQ(response_code(score(R"([{"node": "w1", "kind": "CP-AND"}, )"
+                                  R"({"node": "w1", "kind": "OP"}])",
+                                  "{}")),
+              "");
+
+    const std::string after = score(plain, "{}");
+    ASSERT_EQ(response_code(after), "") << after;
+    EXPECT_TRUE(result_field(after, "engine_warm").boolean);
+    EXPECT_EQ(result_field(after, "engine_version").number, 1.0);
+    EXPECT_EQ(result_field(after, "score").number,
+              result_field(first, "score").number);
+}
+
+// `exact_eval` is the score method's from-scratch reference path: the
+// same numbers as the warm engine, without touching it. `plan` ignores
+// the option, like every method ignores options that do not apply.
+TEST(ServeDifferential, ExactEvalScoreMatchesWarmEngine) {
+    serve::Server server({});
+    server.execute_line(open_line("ex"));
+    const char* points =
+        R"("points": [{"node": "w1", "kind": "CP-XOR"}, )"
+        R"({"node": "w2", "kind": "OP"}])";
+    const std::string warm = server.execute_line(
+        std::string(R"({"method": "score", "session": "ex", )") + points +
+        R"(, "report": false})");
+    const std::string exact = server.execute_line(
+        std::string(R"({"method": "score", "session": "ex", )") + points +
+        R"(, "options": {"exact_eval": true}, "report": false})");
+    ASSERT_EQ(response_code(warm), "") << warm;
+    ASSERT_EQ(response_code(exact), "") << exact;
+    obs::json::Value warm_doc;
+    obs::json::Value exact_doc;
+    std::string error;
+    ASSERT_TRUE(obs::json::parse(warm, warm_doc, error)) << error;
+    ASSERT_TRUE(obs::json::parse(exact, exact_doc, error)) << error;
+    for (const char* key :
+         {"score", "estimated_coverage", "min_detection_probability"})
+        EXPECT_EQ(warm_doc.find("result")->find(key)->number,
+                  exact_doc.find("result")->find(key)->number)
+            << key;
+
+    const auto plan = [&](const char* extra) {
+        return server.execute_line(
+            std::string(R"({"method": "plan", "session": "ex", )"
+                        R"("options": {"budget": 2, "patterns": 64)") +
+            extra + R"(}, "report": false})");
+    };
+    EXPECT_EQ(plan(R"(, "exact_eval": true)"), plan(""));
+}
+
 // ---------------------------------------------------------------------
 // Server: session-cached plan vs the batch planner path
 
@@ -434,7 +548,6 @@ TEST(ServeDifferential, CachedPlanMatchesBatchPlannerBitForBit) {
     options.objective.num_patterns = 256;
     options.seed = 5;
     options.threads = 1;
-    options.incremental_eval = true;
     const Plan local = DpPlanner().plan(circuit, options);
     ASSERT_FALSE(local.points.empty());
 

@@ -3,16 +3,17 @@
 //
 // The contract under test: every score the block path produces is
 // *bit-identical* to the scalar engine (per-candidate delta-COP
-// apply/score/rollback) and to the evaluate_plan oracle — at every lane
-// width {1, 2, 4, 8}, every thread count {1, 2, 8}, both objectives,
-// with and without an epsilon cutoff, and across commits. Lane width 2
+// apply/score/rollback, EvalEngine::score_candidate) and to the
+// evaluate_plan oracle — at every lane width {1, 2, 4, 8}, every thread
+// count {1, 2, 8}, both objectives, and across commits. Lane width 2
 // always runs the portable kernels (no vector stamp carries two lanes),
 // so comparing widths doubles as a portable-vs-vector differential even
 // on AVX hosts; a TPIDP_SIMD=OFF build runs the whole suite through the
 // portable kernels (the release-portable CI leg).
 //
-// The planner tests assert the consequence: every planner produces the
-// identical plan and predicted score with --simd-eval on and off.
+// The planner tests assert the consequence: the planners reproduce the
+// plans and predicted scores the scalar engine path recorded
+// (tests/reference_plans.hpp).
 //
 // The suite rides in tpidp_parallel_tests so the CI thread-sanitizer
 // job covers the block-parallel dispatch too.
@@ -36,6 +37,8 @@
 #include "tpi/threshold.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+
+#include "reference_plans.hpp"
 
 namespace {
 
@@ -68,16 +71,22 @@ std::vector<TestPoint> make_candidates(const Circuit& circuit,
     return candidates;
 }
 
-/// Scores through the scalar engine path (simd off, single thread):
-/// the per-candidate apply/score/rollback reference.
+/// Scores through the scalar engine path: the per-candidate
+/// push/score/pop reference against the engine's current state.
+std::vector<double> scalar_scores(EvalEngine& engine,
+                                  std::span<const TestPoint> candidates) {
+    std::vector<double> scores;
+    for (const TestPoint& tp : candidates)
+        scores.push_back(engine.score_candidate(tp));
+    return scores;
+}
+
 std::vector<double> scalar_scores(const Circuit& circuit,
                                   const fault::CollapsedFaults& faults,
                                   const Objective& objective,
-                                  std::span<const TestPoint> candidates,
-                                  double epsilon = 0.0) {
-    EvalEngine engine(circuit, faults, objective, nullptr, epsilon,
-                      /*simd_eval=*/false);
-    return engine.score_batch(candidates, 1);
+                                  std::span<const TestPoint> candidates) {
+    EvalEngine engine(circuit, faults, objective);
+    return scalar_scores(engine, candidates);
 }
 
 // ---------------------------------------------------------------------
@@ -139,35 +148,12 @@ TEST_P(SimdEvalDifferential, BothObjectivesMatchScalar) {
     }
 }
 
-TEST_P(SimdEvalDifferential, EpsilonEngineMatchesScalarEngine) {
-    // epsilon > 0 drops sub-threshold deltas; the oracle no longer
-    // applies, but the block path must still reproduce the scalar
-    // engine's (epsilon-truncated) scores bitwise: a union visit of a
-    // lane whose inputs did not move is a no-op at any epsilon.
-    const Circuit circuit = gen::suite_entry(GetParam()).build();
-    const fault::CollapsedFaults faults = fault::singleton_faults(circuit);
-    const Objective objective;
-    const std::vector<TestPoint> candidates =
-        make_candidates(circuit, 17, 41);
-    const double epsilon = 1e-6;
-
-    const std::vector<double> scalar =
-        scalar_scores(circuit, faults, objective, candidates, epsilon);
-    EvalEngine engine(circuit, faults, objective, nullptr, epsilon);
-    for (unsigned lanes : kLaneWidths) {
-        engine.set_eval_lanes(lanes);
-        EXPECT_EQ(scalar, engine.score_block(candidates, 2))
-            << "lanes=" << lanes;
-    }
-}
-
 TEST_P(SimdEvalDifferential, BlockMatchesScalarAcrossCommits) {
     const Circuit circuit = gen::suite_entry(GetParam()).build();
     const fault::CollapsedFaults faults = fault::singleton_faults(circuit);
     const Objective objective;
 
-    EvalEngine scalar(circuit, faults, objective, nullptr, 0.0,
-                      /*simd_eval=*/false);
+    EvalEngine scalar(circuit, faults, objective);
     EvalEngine block(circuit, faults, objective);
     block.set_eval_lanes(8);
 
@@ -187,7 +173,7 @@ TEST_P(SimdEvalDifferential, BlockMatchesScalarAcrossCommits) {
                 continue;
             candidates.push_back(tp);
         }
-        EXPECT_EQ(scalar.score_batch(candidates, 1),
+        EXPECT_EQ(scalar_scores(scalar, candidates),
                   block.score_block(candidates, 2))
             << "round " << round;
 
@@ -232,11 +218,10 @@ TEST_P(SimdEvalDifferential, DuplicatePointThrowsLikeScalar) {
     // IncrementalCop::apply contract), through either path.
     const std::vector<TestPoint> bad = {{NodeId{2}, TpKind::ControlOr}};
     EXPECT_THROW(engine.score_block(bad, 1), Error);
-    EvalEngine scalar(circuit, faults, objective, nullptr, 0.0,
-                      /*simd_eval=*/false);
+    EvalEngine scalar(circuit, faults, objective);
     scalar.push(committed);
     scalar.commit();
-    EXPECT_THROW(scalar.score_batch(bad, 1), Error);
+    EXPECT_THROW(scalar.score_candidate(bad[0]), Error);
 }
 
 INSTANTIATE_TEST_SUITE_P(BundledBenches, SimdEvalDifferential,
@@ -272,31 +257,25 @@ TEST(SimdEvalCounters, DeterministicAcrossThreads) {
 }
 
 // ---------------------------------------------------------------------
-// Planner invariance: identical plans with --simd-eval on and off
+// Planner invariance: the lane-block planners reproduce the plans the
+// scalar per-candidate engine recorded
 
 class SimdEvalPlannerInvariance
     : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SimdEvalPlannerInvariance, PlansIdenticalSimdOnOff) {
-    const Circuit circuit = gen::suite_entry(GetParam()).build();
-    DpPlanner dp;
-    GreedyPlanner greedy;
-    for (Planner* planner : {static_cast<Planner*>(&dp),
-                             static_cast<Planner*>(&greedy)}) {
-        PlannerOptions reference;
-        reference.budget = 4;
-        reference.objective.num_patterns = 64;
-        reference.simd_eval = false;
-        const Plan expected = planner->plan(circuit, reference);
+    for (const char* planner : {"dp", "greedy"}) {
+        const testref::ReferencePlan* row = testref::find_reference_plan(
+            "simd", planner, GetParam(), 4, false);
+        ASSERT_NE(row, nullptr) << planner;
+        const Circuit circuit = gen::suite_entry(GetParam()).build();
+        const auto p = testref::make_planner(planner);
         for (unsigned threads : kThreadCounts) {
-            PlannerOptions options = reference;
-            options.simd_eval = true;
-            options.threads = threads;
-            const Plan actual = planner->plan(circuit, options);
-            EXPECT_EQ(expected.points, actual.points)
-                << planner->name() << " threads=" << threads;
-            EXPECT_EQ(expected.predicted_score, actual.predicted_score)
-                << planner->name() << " threads=" << threads;
+            SCOPED_TRACE(std::string(planner) +
+                         " threads=" + std::to_string(threads));
+            testref::expect_plan_matches(
+                *row, circuit,
+                p->plan(circuit, testref::reference_options(*row, threads)));
         }
     }
 }
@@ -305,25 +284,7 @@ INSTANTIATE_TEST_SUITE_P(BundledBenches, SimdEvalPlannerInvariance,
                          ::testing::Values("cmp32", "dag500"));
 
 TEST(SimdEvalThreshold, SweepIdenticalSimdOnOff) {
-    const Circuit circuit = gen::suite_entry("cmp32").build();
-    GreedyPlanner greedy;
-    ThresholdGoal goal;
-    goal.min_detection = 1.0 / 512.0;
-
-    PlannerOptions off;
-    off.objective.num_patterns = 64;
-    off.simd_eval = false;
-    const ThresholdResult expected =
-        solve_min_points(circuit, greedy, off, goal, 6);
-    PlannerOptions on = off;
-    on.simd_eval = true;
-    on.threads = 4;
-    const ThresholdResult actual =
-        solve_min_points(circuit, greedy, on, goal, 6);
-    EXPECT_EQ(expected.feasible, actual.feasible);
-    EXPECT_EQ(expected.budget_used, actual.budget_used);
-    EXPECT_EQ(expected.plan.points, actual.plan.points);
-    EXPECT_EQ(expected.evaluation.score, actual.evaluation.score);
+    testref::expect_reference_sweep("simd");
 }
 
 // ---------------------------------------------------------------------

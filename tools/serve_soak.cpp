@@ -524,8 +524,6 @@ bool differential_probe(const std::string& path) {
     options.objective.num_patterns = 256;
     options.seed = 5;
     options.threads = 1;
-    options.incremental_eval = true;
-    options.eval_epsilon = 0.0;
     const Plan local = DpPlanner().plan(circuit, options);
 
     const obs::json::Value* points = result->find("points");

@@ -129,10 +129,7 @@ struct Args {
     bool json = false;         // lint/analyze: machine-readable output
     bool prune_lint = false;   // tpi: lint-based candidate pruning
     bool prune_analysis = false;  // tpi: zero-gain observe pruning
-    bool exact_eval = false;   // tpi: reference evaluator, engine off
     bool flow_proxy = false;   // tpi: O(n+e) greedy observe ranking
-    bool simd_eval = true;     // tpi: lane-parallel batch scoring
-    double eval_epsilon = 0.0; // tpi: engine delta cutoff (0 = exact)
     std::size_t max_findings = 64;  // lint: per-rule finding cap
     // analyze work caps (validated, not clamped — see AnalysisOptions).
     std::size_t max_implication_nodes = 2048;
@@ -207,18 +204,6 @@ void print_help() {
         "                    analysis proves zero-gain (COP observability\n"
         "                    exactly 1.0); plans and scores are\n"
         "                    bit-identical with or without this flag\n"
-        "  --exact-eval      tpi: score candidates with the reference\n"
-        "                    evaluator (full transform + COP per\n"
-        "                    candidate) instead of the incremental\n"
-        "                    engine; plans are identical, just slower\n"
-        "  --eval-epsilon E  tpi: incremental-engine delta cutoff; 0\n"
-        "                    keeps scores bit-identical to the reference\n"
-        "                    evaluator                    (default 0)\n"
-        "  --simd-eval / --no-simd-eval\n"
-        "                    tpi: lane-parallel candidate scoring (one\n"
-        "                    SIMD word carries up to 8 candidates per\n"
-        "                    delta-COP sweep); plans and scores are\n"
-        "                    bit-identical either way   (default on)\n"
         "  --flow-proxy      tpi: rank the greedy planner's observe\n"
         "                    candidates with the O(nodes + edges)\n"
         "                    deficit-flow sweep instead of the per-fault\n"
@@ -320,19 +305,8 @@ Args parse_args(int argc, char** argv, int first) {
             args.prune_lint = true;
         else if (arg == "--prune-analysis")
             args.prune_analysis = true;
-        else if (arg == "--exact-eval")
-            args.exact_eval = true;
         else if (arg == "--flow-proxy")
             args.flow_proxy = true;
-        else if (arg == "--simd-eval")
-            args.simd_eval = true;
-        else if (arg == "--no-simd-eval")
-            args.simd_eval = false;
-        else if (arg == "--eval-epsilon") {
-            args.eval_epsilon = parse_number<double>(arg, next());
-            if (args.eval_epsilon < 0.0)
-                usage_error("--eval-epsilon must be non-negative");
-        }
         else if (arg == "--max-findings")
             args.max_findings = parse_number<std::size_t>(arg, next());
         else if (arg == "--max-implication-nodes")
@@ -616,9 +590,6 @@ int cmd_tpi(const Args& args, RunContext& ctx) {
     options.threads = args.threads;
     options.prune_via_lint = args.prune_lint;
     options.prune_via_analysis = args.prune_analysis;
-    options.incremental_eval = !args.exact_eval;
-    options.eval_epsilon = args.eval_epsilon;
-    options.simd_eval = args.simd_eval;
     options.greedy_flow_proxy = args.flow_proxy;
     options.sink = ctx.sink_ptr();
 
@@ -637,17 +608,23 @@ int cmd_tpi(const Args& args, RunContext& ctx) {
     for (const auto& tp : plan.points)
         std::cout << "  " << netlist::tp_kind_name(tp.kind) << " @ "
                   << c.node_name(tp.node) << "\n";
-    const int exit_code = note_truncation(plan.truncated, args);
+    int exit_code = note_truncation(plan.truncated, args);
 
+    // Validation runs under the same deadline (and SIGINT) as planning;
+    // a cut-short simulation reports the patterns it got through.
     const auto dft = netlist::apply_test_points(c, plan.points);
     const auto before = fault::random_pattern_coverage(
-        c, args.patterns, args.seed, false, nullptr, args.threads,
+        c, args.patterns, args.seed, false, &deadline, args.threads,
         ctx.sink_ptr(), args.sim_width);
     const auto after = fault::random_pattern_coverage(
-        dft.circuit, args.patterns, args.seed, false, nullptr,
+        dft.circuit, args.patterns, args.seed, false, &deadline,
         args.threads, ctx.sink_ptr(), args.sim_width);
+    const bool partial = before.truncated || after.truncated;
     std::cout << "coverage: " << util::fmt_percent(before.coverage)
-              << "% -> " << util::fmt_percent(after.coverage) << "%\n";
+              << "% -> " << util::fmt_percent(after.coverage) << "%"
+              << (partial ? " (partial: validation stopped early)" : "")
+              << "\n";
+    if (exit_code == 0) exit_code = note_truncation(partial, args);
     ctx.report.add_str("planner", args.planner);
     ctx.report.add_num("points",
                        static_cast<std::uint64_t>(plan.points.size()));
