@@ -1,5 +1,5 @@
-// Table 11 — the lint engine, lint-driven and analysis-driven planner
-// pruning.
+// Table 11 — the lint engine, lint-driven planner pruning and the
+// observe DP's zero-gain rule.
 //
 // Series: run_lint vs circuit size (all rules over random reconvergent
 // DAGs; expected near-linear — every analysis is one or two passes over
@@ -14,14 +14,14 @@
 // planner can spend late-budget points resurrecting dead cones, which
 // pruning forgoes by design) against a >2x planning speedup on the DP.
 //
-// The analysis-pruning series (run_analysis vs size, and DP/greedy with
-// prune_via_analysis off/on over XOR-heavy circuits) has a second
-// entry point: invoked as `bench_t11_lint <out.json> [repeats]` it
-// skips the google-benchmark tables and writes the machine-readable
-// tpidp-bench-t11 report consumed by ci/check_perf.py — plans and
-// scores must be bit-identical with pruning on (the analysis prune is
-// exact by construction, unlike the lint prune) and planning must not
-// get slower.
+// The static-analysis series (run_analysis vs size, and the observe-only
+// DP over an XOR-heavy circuit, where the zero-gain rule drops most
+// members) has a second entry point: invoked as
+// `bench_t11_lint <out.json> [repeats]` it skips the google-benchmark
+// tables and writes the machine-readable tpidp-bench-t11 report that
+// ci/check_perf.py compares with results/BENCH_11.json: the plans and
+// bitwise scores must match the recorded rows, and the deterministic
+// work counters must not rise above them.
 
 #include <benchmark/benchmark.h>
 
@@ -230,45 +230,37 @@ BENCHMARK(BM_RunAnalysisVsSize)
     ->Unit(benchmark::kMicrosecond)
     ->Complexity();
 
-void BM_DpPlannerAnalysisPruning(benchmark::State& state) {
+/// Observe-only planning settings of the t11 series: 64 patterns
+/// keep enough faults random-pattern hard that the planners place
+/// points on the XOR-heavy circuit.
+PlannerOptions observe_only(int budget) {
+    PlannerOptions options;
+    options.budget = budget;
+    options.objective.num_patterns = 64;
+    options.control_kinds.clear();
+    return options;
+}
+
+void BM_DpPlannerZeroGainRule(benchmark::State& state) {
     const netlist::Circuit circuit = make_transparent(2048);
     DpPlanner planner;
-    PlannerOptions options;
-    options.budget = 8;
-    options.prune_via_analysis = state.range(0) != 0;
+    PlannerOptions options = observe_only(8);
+    obs::Sink sink;
+    options.sink = &sink;
     Plan plan;
     for (auto _ : state) {
         plan = planner.plan(circuit, options);
         benchmark::DoNotOptimize(plan);
     }
-    state.counters["pruned"] =
-        static_cast<double>(plan.candidates_pruned_analysis);
+    const double iters = static_cast<double>(state.iterations());
+    state.counters["pruned"] = static_cast<double>(sink.value(
+                                   obs::Counter::CandidatesPrunedAnalysis)) /
+                               iters;
+    state.counters["cells"] =
+        static_cast<double>(sink.value(obs::Counter::DpCellsFilled)) / iters;
     state.counters["score"] = plan.predicted_score;
 }
-BENCHMARK(BM_DpPlannerAnalysisPruning)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_GreedyPlannerAnalysisPruning(benchmark::State& state) {
-    const netlist::Circuit circuit = make_transparent(512);
-    GreedyPlanner planner;
-    PlannerOptions options;
-    options.budget = 4;
-    options.prune_via_analysis = state.range(0) != 0;
-    Plan plan;
-    for (auto _ : state) {
-        plan = planner.plan(circuit, options);
-        benchmark::DoNotOptimize(plan);
-    }
-    state.counters["pruned"] =
-        static_cast<double>(plan.candidates_pruned_analysis);
-    state.counters["score"] = plan.predicted_score;
-}
-BENCHMARK(BM_GreedyPlannerAnalysisPruning)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DpPlannerZeroGainRule)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
 // The tpidp-bench-t11 gate report (ci/check_perf.py)
@@ -276,60 +268,55 @@ BENCHMARK(BM_GreedyPlannerAnalysisPruning)
 
 struct GateRow {
     std::string planner;
-    double off_ms = 0.0;
-    double on_ms = 0.0;
-    double speedup = 0.0;
-    bool plans_identical = false;
-    bool score_identical = false;
-    std::size_t candidates_pruned = 0;
+    int budget = 0;
+    std::string points;  ///< "KIND@net ..." in plan order
+    double predicted_score = 0.0;
+    std::uint64_t dp_cells_filled = 0;
+    std::uint64_t dp_regions_built = 0;
+    std::uint64_t candidates_pruned_analysis = 0;
+    std::uint64_t greedy_evaluations = 0;
+    double wall_ms = 0.0;  ///< best of the repeats; information only
 };
-
-template <typename F>
-double best_of_ms(int repeats, F&& body) {
-    double best = 1e300;
-    for (int i = 0; i < repeats; ++i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        body();
-        const auto t1 = std::chrono::steady_clock::now();
-        best = std::min(
-            best, std::chrono::duration<double, std::milli>(t1 - t0)
-                      .count());
-    }
-    return best;
-}
 
 GateRow run_gate(tpi::Planner& planner, const netlist::Circuit& circuit,
                  int budget, int repeats) {
-    PlannerOptions options;
-    options.budget = budget;
-    // Observe-only planning: the analysis prune applies to observe
-    // candidates (the joint control+observe DP is exempt by design), so
-    // this is the configuration where its cost/benefit is visible.
-    options.control_kinds.clear();
-    Plan off;
-    Plan on;
     GateRow row;
     row.planner = std::string(planner.name());
-    options.prune_via_analysis = false;
-    row.off_ms = best_of_ms(
-        repeats, [&] { off = planner.plan(circuit, options); });
-    options.prune_via_analysis = true;
-    row.on_ms = best_of_ms(
-        repeats, [&] { on = planner.plan(circuit, options); });
-    row.speedup = row.off_ms / row.on_ms;
-    row.plans_identical = off.points == on.points;
-    // Bitwise, not approximate: the prune drops only candidates whose
-    // score delta is exactly 0.0.
-    row.score_identical = off.predicted_score == on.predicted_score;
-    row.candidates_pruned = on.candidates_pruned_analysis;
+    row.budget = budget;
+    row.wall_ms = 1e300;
+    for (int i = 0; i < std::max(1, repeats); ++i) {
+        // A fresh sink per run: the counters are deterministic, so the
+        // last run's totals are every run's.
+        obs::Sink sink;
+        PlannerOptions options = observe_only(budget);
+        options.sink = &sink;
+        const auto t0 = std::chrono::steady_clock::now();
+        const Plan plan = planner.plan(circuit, options);
+        const auto t1 = std::chrono::steady_clock::now();
+        row.wall_ms = std::min(
+            row.wall_ms,
+            std::chrono::duration<double, std::milli>(t1 - t0).count());
+        row.points.clear();
+        for (const netlist::TestPoint& tp : plan.points) {
+            if (!row.points.empty()) row.points += ' ';
+            row.points += netlist::tp_kind_name(tp.kind);
+            row.points += '@';
+            row.points += circuit.node_name(tp.node);
+        }
+        row.predicted_score = plan.predicted_score;
+        row.dp_cells_filled = sink.value(obs::Counter::DpCellsFilled);
+        row.dp_regions_built = sink.value(obs::Counter::DpRegionsBuilt);
+        row.candidates_pruned_analysis =
+            sink.value(obs::Counter::CandidatesPrunedAnalysis);
+        row.greedy_evaluations =
+            sink.value(obs::Counter::GreedyEvaluations);
+    }
     return row;
 }
 
-std::string json_bool(bool b) { return b ? "true" : "false"; }
-
-std::string fmt_ms(double v) {
+std::string fmt(const char* format, double v) {
     char buf[64];
-    std::snprintf(buf, sizeof buf, "%.4f", v);
+    std::snprintf(buf, sizeof buf, format, v);
     return buf;
 }
 
@@ -342,27 +329,28 @@ int run_gate_report(const std::string& out_path, int repeats) {
     rows.push_back(run_gate(dp, circuit, 8, repeats));
     rows.push_back(run_gate(greedy, circuit, 4, repeats));
     for (const GateRow& r : rows)
-        std::cerr << "bench_t11: " << r.planner << " " << fmt_ms(r.off_ms)
-                  << " ms -> " << fmt_ms(r.on_ms) << " ms ("
-                  << fmt_ms(r.speedup) << "x), pruned "
-                  << r.candidates_pruned << ", plans "
-                  << (r.plans_identical ? "identical" : "DIVERGED")
-                  << ", score "
-                  << (r.score_identical ? "identical" : "DIVERGED")
-                  << "\n";
+        std::cerr << "bench_t11: " << r.planner << " " << fmt("%.1f", r.wall_ms)
+                  << " ms, " << r.dp_cells_filled << " cells, "
+                  << r.candidates_pruned_analysis << " zero-gain members, "
+                  << r.greedy_evaluations << " evaluations, plan \""
+                  << r.points << "\"\n";
     std::ostringstream json;
-    json << "{\n  \"schema\": \"tpidp-bench-t11\",\n  \"version\": 1,\n"
+    json << "{\n  \"schema\": \"tpidp-bench-t11\",\n  \"version\": 2,\n"
          << "  \"circuit\": \"xor-dag\",\n  \"gates\": " << gates
-         << ",\n  \"planners\": [\n";
+         << ",\n  \"patterns\": 64,\n  \"planners\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const GateRow& r = rows[i];
-        json << "    {\"name\": \"" << r.planner << "\", \"off_ms\": "
-             << fmt_ms(r.off_ms) << ", \"on_ms\": " << fmt_ms(r.on_ms)
-             << ", \"speedup\": " << fmt_ms(r.speedup)
-             << ", \"candidates_pruned\": " << r.candidates_pruned
-             << ", \"plans_identical\": " << json_bool(r.plans_identical)
-             << ", \"score_identical\": " << json_bool(r.score_identical)
-             << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+        json << "    {\"name\": \"" << r.planner << "\", \"budget\": "
+             << r.budget << ", \"points\": \"" << r.points
+             << "\", \"predicted_score\": \""
+             << fmt("%a", r.predicted_score)
+             << "\", \"dp_cells_filled\": " << r.dp_cells_filled
+             << ", \"dp_regions_built\": " << r.dp_regions_built
+             << ", \"candidates_pruned_analysis\": "
+             << r.candidates_pruned_analysis
+             << ", \"greedy_evaluations\": " << r.greedy_evaluations
+             << ", \"wall_ms\": " << fmt("%.4f", r.wall_ms) << "}"
+             << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";
     std::ofstream out(out_path);

@@ -20,8 +20,10 @@ namespace tpi::analysis {
 /// leaves the transformed circuit's COP bitwise unchanged (the new
 /// branch contributes max(1.0, 1.0)), hence every fault detection
 /// probability, every candidate score, and every planner decision is
-/// bitwise identical with or without the candidate — the plan-identity
-/// guarantee PlannerOptions::prune_via_analysis relies on.
+/// bitwise identical with or without the candidate. The observe DP
+/// applies the same criterion to its placements (TreeObsDp::zero_gain);
+/// this pass reports the sites and their certificates for `tpidp
+/// analyze` and lint.
 struct ObservePruning {
     std::vector<bool> zero_gain;
     std::size_t count = 0;

@@ -227,13 +227,17 @@ Circuit layered_fabric(const FabricOptions& options) {
 
     // to_chars naming without a heap allocation per gate.
     char buf[48];
+    // The layer digits stop one byte short of the end, so the '_' after
+    // them always lands inside the buffer.
     const auto cell_name = [&buf](char role, std::size_t layer,
                                   std::size_t col) {
         buf[0] = role;
-        char* p = std::to_chars(buf + 1, buf + sizeof buf, layer).ptr;
-        *p++ = '_';
-        p = std::to_chars(p, buf + sizeof buf, col).ptr;
-        return std::string_view(buf, static_cast<std::size_t>(p - buf));
+        auto r = std::to_chars(buf + 1, buf + sizeof buf - 1, layer);
+        require(r.ec == std::errc{}, "layered_fabric: cell name overflow");
+        *r.ptr++ = '_';
+        r = std::to_chars(r.ptr, buf + sizeof buf, col);
+        require(r.ec == std::errc{}, "layered_fabric: cell name overflow");
+        return std::string_view(buf, static_cast<std::size_t>(r.ptr - buf));
     };
 
     std::vector<NodeId> sum(w);

@@ -103,8 +103,9 @@ LintReport run_lint(const Circuit& circuit, const LintOptions& options,
     LintReport report;
     {
         obs::Span analyse_span(sink, "lint/analyse");
-        report.ternary = propagate_constants(circuit);
-        report.observable = observable_mask(circuit, report.ternary);
+        report.ternary = analysis::propagate_constants(circuit);
+        report.observable =
+            analysis::observable_mask(circuit, report.ternary);
     }
     // The static-analysis facts are computed only when a selected rule
     // consumes them — they cost implication probing over the whole
@@ -156,20 +157,21 @@ LintReport run_lint(const Circuit& circuit, const LintOptions& options) {
 namespace detail {
 
 std::vector<fault::Fault> derive_redundant_faults(
-    const Circuit& circuit, std::span<const Ternary> value,
+    const Circuit& circuit, std::span<const analysis::Ternary> value,
     const std::vector<bool>& observable) {
     std::vector<fault::Fault> redundant;
     for (NodeId v : circuit.all_nodes()) {
-        const Ternary t = value[v.v];
+        const analysis::Ternary t = value[v.v];
         const GateType type = circuit.type(v);
-        if (is_defined(t)) {
+        if (analysis::is_defined(t)) {
             // Stuck at the value the net always carries: never excited.
             // The matching tie-cell faults are already outside the fault
             // universe (all_faults drops them), so skip those.
             const bool trivial =
-                (type == GateType::Const0 && t == Ternary::Zero) ||
-                (type == GateType::Const1 && t == Ternary::One);
-            if (!trivial) redundant.push_back({v, ternary_bool(t)});
+                (type == GateType::Const0 && t == analysis::Ternary::Zero) ||
+                (type == GateType::Const1 && t == analysis::Ternary::One);
+            if (!trivial)
+                redundant.push_back({v, analysis::ternary_bool(t)});
             // s-a-(¬t) is NOT claimed: forcing a constant net to the
             // opposite value is not an information refinement, so the
             // blocking constants of the observability proof need not
@@ -190,11 +192,13 @@ std::vector<fault::Fault> derive_redundant_faults(
 
 Pruning compute_pruning(const Circuit& circuit) {
     Pruning pruning;
-    const std::vector<Ternary> value = propagate_constants(circuit);
-    const std::vector<bool> observable = observable_mask(circuit, value);
+    const std::vector<analysis::Ternary> value =
+        analysis::propagate_constants(circuit);
+    const std::vector<bool> observable =
+        analysis::observable_mask(circuit, value);
     pruning.drop_candidate.assign(circuit.node_count(), false);
     for (NodeId v : circuit.all_nodes()) {
-        if (is_defined(value[v.v]) || !observable[v.v]) {
+        if (analysis::is_defined(value[v.v]) || !observable[v.v]) {
             pruning.drop_candidate[v.v] = true;
             ++pruning.dropped;
         }

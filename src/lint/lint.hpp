@@ -9,10 +9,10 @@
 
 #include "analysis/analysis.hpp"
 #include "analysis/prune.hpp"
+#include "analysis/ternary.hpp"
 #include "fault/fault.hpp"
 #include "netlist/circuit.hpp"
 #include "netlist/ffr.hpp"
-#include "lint/ternary.hpp"
 #include "obs/obs.hpp"
 #include "util/deadline.hpp"
 
@@ -59,7 +59,7 @@ struct LintReport {
 
     /// Ternary constant propagation result, one value per node; defined
     /// entries are proven constants.
-    std::vector<Ternary> ternary;
+    std::vector<analysis::Ternary> ternary;
 
     /// Structural observability under constant blocking; false entries
     /// provably cannot influence any primary output.
@@ -128,7 +128,7 @@ struct LintOptions {
 /// through a custom registry.
 struct RuleContext {
     const netlist::Circuit& circuit;
-    const std::vector<Ternary>& ternary;
+    const std::vector<analysis::Ternary>& ternary;
     const std::vector<bool>& observable;
     const netlist::FfrDecomposition& ffr;
     const LintOptions& options;
@@ -207,7 +207,7 @@ namespace detail {
 /// observability mask. Sound (every returned fault is PODEM-redundant);
 /// incomplete by design.
 std::vector<fault::Fault> derive_redundant_faults(
-    const netlist::Circuit& circuit, std::span<const Ternary> value,
+    const netlist::Circuit& circuit, std::span<const analysis::Ternary> value,
     const std::vector<bool>& observable);
 
 }  // namespace detail

@@ -57,14 +57,14 @@ bool expired(const RuleContext& context, LintReport& report) {
 void rule_constant_net(const RuleContext& context, LintReport& report) {
     const Circuit& circuit = context.circuit;
     for (NodeId v : circuit.all_nodes()) {
-        const Ternary value = context.ternary[v.v];
-        if (!is_defined(value)) continue;
+        const analysis::Ternary value = context.ternary[v.v];
+        if (!analysis::is_defined(value)) continue;
         const GateType type = circuit.type(v);
         if (type == GateType::Const0 || type == GateType::Const1)
             continue;  // tie cells are constant by design
         if (!emit(context, report, "constant-net", Severity::Warning, {v},
                   "net '" + std::string(circuit.node_name(v)) + "' is constant " +
-                      std::string(ternary_name(value)) +
+                      std::string(analysis::ternary_name(value)) +
                       " under every input assignment",
                   "replace the driver with a tie cell (lenient validation "
                   "then sweeps the dead cone) or fix the tied-off logic"))
@@ -100,7 +100,8 @@ void rule_redundant_fault(const RuleContext& context, LintReport& report) {
     report.redundant_faults = detail::derive_redundant_faults(
         circuit, context.ternary, context.observable);
     for (const fault::Fault& f : report.redundant_faults) {
-        const bool never_excited = is_defined(context.ternary[f.node.v]);
+        const bool never_excited =
+            analysis::is_defined(context.ternary[f.node.v]);
         if (!emit(context, report, "redundant-fault", Severity::Warning,
                   {f.node},
                   "stuck-at-" + std::string(f.stuck_at1 ? "1" : "0") +
@@ -315,9 +316,9 @@ void rule_dominated_observe_point(const RuleContext& context,
                       "' is provably zero-gain (COP observability is "
                       "already exactly 1.0 along a transparent path to "
                       "an output)",
-                  "planners drop the candidate under "
-                  "PlannerOptions::prune_via_analysis, carrying a "
-                  "transparent-chain certificate"))
+                  "planners never place an observe point here (the "
+                  "DP drops it as zero-gain); tpidp analyze --json "
+                  "carries its transparent-chain certificate"))
             return;
     }
 }

@@ -54,8 +54,8 @@ enum class Counter : std::uint8_t {
                            ///< database
     FaultsProvedUntestable,  ///< faults proved untestable by conflicting
                              ///< mandatory assignments
-    CandidatesPrunedAnalysis,  ///< candidates dropped by analysis pruning
-                               ///< (provably zero-gain observe sites)
+    CandidatesPrunedAnalysis,  ///< observe-DP members dropped as provably
+                               ///< zero-gain (COP observability 1.0)
     ScoreBlocks,           ///< lane-parallel candidate blocks swept
     LanesActive,           ///< candidates carried by those blocks (the
                            ///< occupied lanes; blocks * K minus padding)

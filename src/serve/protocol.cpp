@@ -94,8 +94,7 @@ netlist::TpKind parse_kind(const std::string& name) {
 void parse_options(const Value& options, Request& request) {
     check_keys(options, "options",
                {"budget", "patterns", "planner", "seed", "deadline_ms",
-                "exact_eval", "prune_lint", "prune_analysis",
-                "max_findings",
+                "exact_eval", "prune_lint", "max_findings",
                 "max_implication_nodes", "max_implication_steps",
                 "max_untestable", "sim_width", "drop_after"});
     request.budget = static_cast<int>(
@@ -113,8 +112,6 @@ void parse_options(const Value& options, Request& request) {
         opt_bool(options, "exact_eval", request.exact_eval);
     request.prune_lint =
         opt_bool(options, "prune_lint", request.prune_lint);
-    request.prune_analysis =
-        opt_bool(options, "prune_analysis", request.prune_analysis);
     request.max_findings = static_cast<std::size_t>(
         opt_uint(options, "max_findings", request.max_findings, 1u << 20));
     request.max_implication_nodes = static_cast<std::size_t>(

@@ -94,7 +94,6 @@ struct Request {
     double deadline_ms = 0.0;  ///< 0 = server default; must be > 0 if set
     bool exact_eval = false;  ///< score: from-scratch evaluate_plan
     bool prune_lint = false;
-    bool prune_analysis = false;  ///< plan: zero-gain observe pruning
     std::size_t max_findings = 64;
     // lint/analyze work caps (validated, not clamped).
     std::size_t max_implication_nodes = 2048;

@@ -481,7 +481,6 @@ std::string Server::do_plan(const Request& request, Session& session,
     options.deadline = &deadline;
     options.threads = 1;  // concurrency comes from request batching
     options.prune_via_lint = request.prune_lint;
-    options.prune_via_analysis = request.prune_analysis;
     options.sink = &sink;
 
     const Plan plan = planner->plan(session.circuit, options);
@@ -506,9 +505,6 @@ std::string Server::do_plan(const Request& request, Session& session,
                num(plan.candidates_considered);
         out += ", \"candidates_pruned\": " + num(plan.candidates_pruned);
     }
-    if (request.prune_analysis)
-        out += ", \"candidates_pruned_analysis\": " +
-               num(plan.candidates_pruned_analysis);
     out += "}";
 
     report.add_str("planner", request.planner);

@@ -1,15 +1,5 @@
 #include "testability/cop_lanes.hpp"
 
-// The K=8 stamps use 512-bit vector types on every tier; on the AVX2
-// target GCC lowers them to two 256-bit ops and warns that *returning*
-// such a type changes the ABI. All stamp functions are static within
-// this TU, so the ABI note is moot — and GCC emits it from the
-// middle-end, past any diagnostic push/pop region, so it must be
-// silenced TU-wide.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wpsabi"
-#endif
-
 #include <algorithm>
 #include <bit>
 

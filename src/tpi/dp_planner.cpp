@@ -3,7 +3,6 @@
 #include <memory>
 #include <optional>
 
-#include "analysis/prune.hpp"
 #include "fault/fault.hpp"
 #include "lint/lint.hpp"
 #include "netlist/ffr.hpp"
@@ -190,19 +189,6 @@ Plan DpPlanner::plan(const netlist::Circuit& circuit,
     std::vector<bool> allowed;
     fault::CollapsedFaults mapped = plan_faults;
 
-    // Analysis pruning: observe candidates whose COP observability is
-    // exactly 1.0 on the round's transformed circuit (see the
-    // prune_via_analysis doc for why dropping them is score-exact).
-    // Only the observe-only region DPs see the restricted mask; the
-    // joint DP keeps `allowed` because a control point can de-sensitise
-    // a transparent chain.
-    const bool analysis_prune =
-        options.prune_via_analysis && options.allow_observe;
-    std::vector<bool> obs_allowed;
-    std::size_t pruned_analysis = 0;
-    std::vector<analysis::Certificate> prune_certs;
-    constexpr std::size_t kMaxPlanCertificates = 8;
-
     for (int round = 0; round < rounds && remaining > 0; ++round) {
         if (out_of_time()) {
             truncated = true;
@@ -249,34 +235,6 @@ Plan DpPlanner::plan(const netlist::Circuit& circuit,
         }
 
         const testability::CopResult cop = engine.export_cop(dft);
-
-        if (analysis_prune) {
-            obs::Span prune_span(sink, "plan/analysis-prune");
-            const analysis::ObservePruning zg =
-                analysis::compute_observe_pruning(dft.circuit, cop, 0);
-            obs_allowed.assign(allowed.begin(), allowed.end());
-            for (std::size_t i = 0; i < cur_n; ++i) {
-                if (!obs_allowed[i] || !zg.zero_gain[i]) continue;
-                obs_allowed[i] = false;
-                ++pruned_analysis;
-                // Certificates only from round 0, where the transform
-                // merely renumbers the original circuit: mapping the
-                // chain back through orig_of yields a certificate that
-                // replays against `circuit` (COP is slot-order and
-                // max-order invariant, so the values transfer bitwise).
-                if (round == 0 &&
-                    prune_certs.size() < kMaxPlanCertificates) {
-                    analysis::Certificate cert;
-                    cert.kind = analysis::CertKind::TransparentChain;
-                    cert.node = orig_of[i];
-                    for (NodeId step : analysis::transparent_chain(
-                             dft.circuit, cop,
-                             NodeId{static_cast<std::uint32_t>(i)}))
-                        cert.chain.push_back(orig_of[step.v]);
-                    prune_certs.push_back(std::move(cert));
-                }
-            }
-        }
 
         // Fault universe of the original circuit, relocated onto the
         // current netlist (the copies of the original gate outputs).
@@ -386,20 +344,24 @@ Plan DpPlanner::plan(const netlist::Circuit& circuit,
                     allowed);
                 dps[r] = built[r]->dp.get();
             } else if (options.allow_observe) {
-                const std::vector<bool>& obs_mask =
-                    analysis_prune ? obs_allowed : allowed;
-                // Every member provably zero-gain: the DP could only
-                // return gain 0 at every budget, which the knapsack's
-                // 1e-9 guard would discard anyway — skip the build.
-                if (analysis_prune) {
-                    bool any = false;
-                    for (NodeId v : region.members)
-                        if (obs_mask[v.v]) {
-                            any = true;
-                            break;
-                        }
-                    if (!any) return;
+                // The DP drops TreeObsDp::zero_gain members from its
+                // placements. A region left with no other placement
+                // could only return gain 0 at every budget, which the
+                // knapsack's 1e-9 guard would discard anyway, so it is
+                // not built. The joint DP above keeps such members: a
+                // control point can make a transparent chain opaque.
+                std::uint64_t zero_gain = 0;
+                bool any = false;
+                for (NodeId v : region.members) {
+                    if (!allowed[v.v]) continue;
+                    if (TreeObsDp::zero_gain(cop, v))
+                        ++zero_gain;
+                    else
+                        any = true;
                 }
+                obs::add(sink, obs::Counter::CandidatesPrunedAnalysis,
+                         zero_gain);
+                if (!any) return;
                 TreeObsDp::Params params;
                 params.delta_bits = options.dp_delta_bits;
                 params.max_bucket = options.dp_max_cost_bucket;
@@ -417,7 +379,7 @@ Plan DpPlanner::plan(const netlist::Circuit& circuit,
                     dft.circuit, dp_region, cop, mapped,
                     std::span<const std::uint32_t>(mapped.class_size),
                     options.objective, params,
-                    obs_mask);
+                    allowed);
                 dps[r] = built[r]->dp.get();
             }
             if (dps[r]) {
@@ -563,13 +525,10 @@ Plan DpPlanner::plan(const netlist::Circuit& circuit,
     result.truncated = truncated;
     result.candidates_considered = candidate_count;
     result.candidates_pruned = pruned_count;
-    result.candidates_pruned_analysis = pruned_analysis;
-    result.prune_certificates = std::move(prune_certs);
     result.predicted_score = engine.score();
     obs::add(sink, obs::Counter::PlanPoints, result.points.size());
     obs::add(sink, obs::Counter::CandidatesConsidered, candidate_count);
     obs::add(sink, obs::Counter::CandidatesPruned, pruned_count);
-    obs::add(sink, obs::Counter::CandidatesPrunedAnalysis, pruned_analysis);
     if (truncated) obs::add(sink, obs::Counter::DeadlineExpiries);
     return result;
 }

@@ -1,6 +1,5 @@
 #include <algorithm>
 
-#include "analysis/prune.hpp"
 #include "fault/fault.hpp"
 #include "lint/lint.hpp"
 #include "netlist/transform.hpp"
@@ -75,18 +74,6 @@ Plan GreedyPlanner::plan(const netlist::Circuit& circuit,
     fault::CollapsedFaults mapped = plan_faults;
     std::vector<TestPoint> batch;
     std::vector<std::size_t> batch_of;
-
-    // Analysis pruning: observe entries whose COP observability on the
-    // step's transformed circuit is exactly 1.0 are dropped from the
-    // shortlist *after* the pool cut, so the surviving comparison
-    // sequence — and hence the chosen point — is unchanged (a pruned
-    // entry's exact score delta is bitwise 0.0, which can never win the
-    // `rate > best_rate + 1e-12` argmax).
-    const bool analysis_prune =
-        options.prune_via_analysis && options.allow_observe;
-    std::size_t pruned_analysis = 0;
-    std::vector<analysis::Certificate> prune_certs;
-    constexpr std::size_t kMaxPlanCertificates = 8;
 
     while (remaining > 0) {
         if (out_of_time()) {
@@ -253,43 +240,6 @@ Plan GreedyPlanner::plan(const netlist::Circuit& circuit,
              ++i)
             shortlist.push_back(control_cands[i]);
 
-        if (analysis_prune) {
-            const bool first_step = points.empty();
-            std::vector<NodeId> orig_of;
-            if (first_step) {
-                orig_of.assign(dft.circuit.node_count(),
-                               netlist::kNullNode);
-                for (NodeId v : circuit.all_nodes())
-                    orig_of[dft.node_map[v.v].v] = v;
-            }
-            std::size_t kept = 0;
-            for (std::size_t i = 0; i < shortlist.size(); ++i) {
-                const Candidate& cand = shortlist[i];
-                const NodeId cur = dft.node_map[cand.point.node.v];
-                if (cand.point.kind != TpKind::Observe ||
-                    cop.obs[cur.v] != 1.0) {
-                    shortlist[kept++] = cand;
-                    continue;
-                }
-                ++pruned_analysis;
-                // Certificates only from the first step, where the
-                // transform merely renumbers the circuit: mapping the
-                // chain back through node_map's inverse yields one
-                // that replays against `circuit`.
-                if (first_step &&
-                    prune_certs.size() < kMaxPlanCertificates) {
-                    analysis::Certificate cert;
-                    cert.kind = analysis::CertKind::TransparentChain;
-                    cert.node = cand.point.node;
-                    for (NodeId step : analysis::transparent_chain(
-                             dft.circuit, cop, cur))
-                        cert.chain.push_back(orig_of[step.v]);
-                    prune_certs.push_back(std::move(cert));
-                }
-            }
-            shortlist.resize(kept);
-        }
-
         // Batch-score the affordable candidates (lane blocks, parallel
         // when options.threads > 1; scores are lane- and
         // thread-independent), then run a sequential argmax over the
@@ -333,13 +283,10 @@ Plan GreedyPlanner::plan(const netlist::Circuit& circuit,
     result.truncated = truncated;
     result.candidates_considered = candidate_count;
     result.candidates_pruned = pruned_count;
-    result.candidates_pruned_analysis = pruned_analysis;
-    result.prune_certificates = std::move(prune_certs);
     result.predicted_score = current.score;
     obs::add(sink, obs::Counter::PlanPoints, result.points.size());
     obs::add(sink, obs::Counter::CandidatesConsidered, candidate_count);
     obs::add(sink, obs::Counter::CandidatesPruned, pruned_count);
-    obs::add(sink, obs::Counter::CandidatesPrunedAnalysis, pruned_analysis);
     if (truncated) obs::add(sink, obs::Counter::DeadlineExpiries);
     return result;
 }

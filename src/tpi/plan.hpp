@@ -4,7 +4,6 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/certificate.hpp"
 #include "netlist/circuit.hpp"
 #include "netlist/test_point.hpp"
 #include "obs/obs.hpp"
@@ -84,23 +83,6 @@ struct PlannerOptions {
     /// so pruned and unpruned plans are directly comparable.
     bool prune_via_lint = false;
 
-    /// Drop observe candidates the static analysis proves zero-gain:
-    /// nets whose COP observability is exactly 1.0 on the current
-    /// (transformed) circuit. Every factor of the COP observability
-    /// product lies in [0, 1] and rounding is monotone, so obs == 1.0
-    /// certifies a fully transparent chain to an output; an observe
-    /// point there leaves the transformed COP — and hence every score
-    /// the planners compare — bitwise unchanged. Plans and
-    /// predicted_score are therefore bit-identical with pruning on or
-    /// off (asserted by the differential suite); the pruned candidates
-    /// are recorded in Plan::candidates_pruned_analysis with
-    /// transparent-chain certificates in Plan::prune_certificates.
-    /// Applies to the DP planner's observe-only region DPs and the
-    /// greedy/threshold shortlist; the joint control+observe DP is
-    /// never pruned (a control point can make a transparent chain
-    /// opaque, so zero-gain is not stable there).
-    bool prune_via_analysis = false;
-
     std::uint64_t seed = 1;
 
     /// Worker lanes for region-parallel DP planning: the independent
@@ -141,12 +123,6 @@ struct Plan {
     /// set by PlannerOptions::prune_via_lint (0 when pruning is off).
     std::size_t candidates_considered = 0;
     std::size_t candidates_pruned = 0;
-
-    /// Observe candidates dropped by PlannerOptions::prune_via_analysis
-    /// across all rounds/steps, with transparent-chain certificates for
-    /// the first few (capped; each replays via check_certificate).
-    std::size_t candidates_pruned_analysis = 0;
-    std::vector<analysis::Certificate> prune_certificates;
 
     int total_cost(const CostModel& cost) const {
         int sum = 0;

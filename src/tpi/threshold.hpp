@@ -25,11 +25,8 @@ struct ThresholdResult {
 /// produces a plan meeting `goal`, trying budgets 0..max_budget. The
 /// ThresholdLinear objective (theta = goal.min_detection) is used to
 /// steer the planner when min_detection is enabled. All other options —
-/// including prune_via_lint / prune_via_analysis — forward to the inner
-/// planner at every budget, so the returned plan carries that planner's
-/// pruning counters and certificates; because analysis pruning is
-/// score-exact, the budget sweep accepts at the same budget with it on
-/// or off.
+/// including prune_via_lint — forward to the inner planner at every
+/// budget, so the returned plan carries that planner's pruning counters.
 ThresholdResult solve_min_points(const netlist::Circuit& circuit,
                                  Planner& planner,
                                  PlannerOptions base_options,

@@ -41,7 +41,8 @@ TreeObsDp::TreeObsDp(const netlist::Circuit& circuit,
     op_allowed_.resize(m);
     for (std::uint32_t k = 0; k < m; ++k) {
         const NodeId v = region.members[k];
-        op_allowed_[k] = allowed.empty() || allowed[v.v];
+        op_allowed_[k] =
+            (allowed.empty() || allowed[v.v]) && !zero_gain(cop, v);
         const auto fanins = circuit.fanins(v);
         for (std::size_t slot = 0; slot < fanins.size(); ++slot) {
             const std::uint32_t cl = local_of_[fanins[slot].v];

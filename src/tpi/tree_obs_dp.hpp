@@ -44,7 +44,8 @@ public:
     /// `fault_weight` (parallel to faults.representatives) selects and
     /// weights the faults to optimise for; zero-weight faults are ignored.
     /// `allowed` (indexed by NodeId, may be empty = everywhere) restricts
-    /// where observation points may be placed.
+    /// where observation points may be placed; a zero_gain() member is
+    /// never a placement, whatever `allowed` says.
     ///
     /// Lifetimes: `circuit`, `cop`, `faults`, `fault_weight` and
     /// `allowed` are read during construction only. `region` is retained
@@ -59,6 +60,22 @@ public:
               std::span<const std::uint32_t> fault_weight,
               const Objective& objective, const Params& params,
               const std::vector<bool>& allowed = {});
+
+    /// The zero-gain rule: a net whose COP observability is exactly 1.0
+    /// gains nothing from an observation point. Every factor of the COP
+    /// observability product lies in [0, 1] and rounding is monotone,
+    /// so obs == 1.0 certifies a fully transparent chain to an output
+    /// (analysis::transparent_chain walks it). A point there adds a
+    /// branch of observability 1.0 to a net already at 1.0, so the
+    /// transformed circuit's COP, and with it every fault's detection
+    /// probability and every score, is bitwise unchanged. Dropping such
+    /// members therefore never changes a plan or a score; it only skips
+    /// table work (and whole regions the DP planner finds without any
+    /// other placement).
+    static bool zero_gain(const testability::CopResult& cop,
+                          netlist::NodeId v) {
+        return cop.obs[v.v] == 1.0;
+    }
 
     int max_budget() const { return params_.max_budget; }
 

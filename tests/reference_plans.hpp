@@ -38,107 +38,80 @@ struct ReferencePlan {
     int budget;
     std::uint64_t patterns;
     bool prune_lint;
-    bool prune_analysis;
     const char* points;  ///< "KIND@net ..." in plan order
     double predicted_score;
 };
 
 // Suites: "engine" and "engine-lint" (evaluate_plan reference; checked
 // by PlannerEngineDifferential), "simd" (scalar engine reference;
-// SimdEvalPlannerInvariance), "identity" (evaluate_plan reference, with
-// analysis pruning off and on; PlanIdentity).
+// SimdEvalPlannerInvariance), "identity" (evaluate_plan reference;
+// PlanIdentity).
 inline constexpr ReferencePlan kReferencePlans[] = {
-    {"engine", "greedy", "c17", 6, 2048, false, false,
+    {"engine", "greedy", "c17", 6, 2048, false,
      "",
      0x1.6p+4},
-    {"engine", "greedy", "cmp32", 6, 2048, false, false,
+    {"engine", "greedy", "cmp32", 6, 2048, false,
      "OP@andt27 OP@andt26 OP@andt24 OP@andt25 CP-XOR@andt29 CP-XOR@andt28",
      0x1.f7eaad31d4417p+7},
-    {"engine", "greedy", "dag500", 6, 2048, false, false,
+    {"engine", "greedy", "dag500", 6, 2048, false,
      "OP@g348 OP@g139 CP-OR@g122 OP@g357 OP@g243 CP-XOR@g424",
      0x1.0dfff13085453p+10},
-    {"engine", "dp", "cmp32", 6, 2048, false, false,
+    {"engine", "dp", "cmp32", 6, 2048, false,
      "OP@andt26 OP@andt27 OP@andt24 OP@andt25 CP-XOR@andt28 CP-XOR@andt29",
      0x1.f7eaad31d4417p+7},
-    {"engine", "dp", "aochain32", 6, 2048, false, false,
+    {"engine", "dp", "aochain32", 6, 2048, false,
      "OP@c18 OP@c8 OP@c16 OP@c24 OP@c4 CP-XOR@c4",
      0x1.03f32a17e8323p+7},
-    {"engine", "dp", "dag500", 6, 2048, false, false,
+    {"engine", "dp", "dag500", 6, 2048, false,
      "OP@g139 OP@g348 OP@g198 OP@g357 OP@g243 OP@g482",
      0x1.0df9c72e605d7p+10},
-    {"engine", "random", "cmp32", 6, 2048, false, false,
+    {"engine", "random", "cmp32", 6, 2048, false,
      "CP-AND@a26 CP-OR@a10 CP-AND@a7 CP-XOR@a14 OP@eqb2 CP-AND@b5",
      0x1.c3fb1a459c5fep+2},
-    {"engine", "exhaustive", "c17", 2, 2048, false, false,
+    {"engine", "exhaustive", "c17", 2, 2048, false,
      "",
      0x1.6p+4},
-    {"engine-lint", "greedy", "cmp32", 4, 1024, true, false,
+    {"engine-lint", "greedy", "cmp32", 4, 1024, true,
      "OP@andt27 OP@andt26 OP@andt24 OP@andt25",
      0x1.ea10da281fd07p+7},
 
-    {"simd", "dp", "cmp32", 4, 64, false, false,
+    {"simd", "dp", "cmp32", 4, 64, false,
      "OP@andt23 OP@andt22 OP@andt21 OP@andt20",
      0x1.dd103189920c7p+6},
-    {"simd", "greedy", "cmp32", 4, 64, false, false,
+    {"simd", "greedy", "cmp32", 4, 64, false,
      "OP@andt16 OP@andt23 OP@andt22 OP@andt17",
      0x1.dd103189920c7p+6},
-    {"simd", "dp", "dag500", 4, 64, false, false,
+    {"simd", "dp", "dag500", 4, 64, false,
      "OP@g137 OP@g72 OP@g357 OP@g443",
      0x1.01d70adb6c9e6p+10},
-    {"simd", "greedy", "dag500", 4, 64, false, false,
+    {"simd", "greedy", "dag500", 4, 64, false,
      "CP-XOR@g122 OP@g118 CP-XOR@g424 OP@g357",
      0x1.032b607d46977p+10},
 
-    {"identity", "dp", "c17", 4, 1024, false, false, "", 0x1.6p+4},
-    {"identity", "greedy", "c17", 4, 1024, false, false, "", 0x1.6p+4},
-    {"identity", "dp", "c17", 4, 1024, false, true, "", 0x1.6p+4},
-    {"identity", "greedy", "c17", 4, 1024, false, true, "", 0x1.6p+4},
-    {"identity", "dp", "chain24", 4, 1024, false, false,
+    {"identity", "dp", "c17", 4, 1024, false, "", 0x1.6p+4},
+    {"identity", "greedy", "c17", 4, 1024, false, "", 0x1.6p+4},
+    {"identity", "dp", "chain24", 4, 1024, false,
      "OP@c8 CP-XOR@c16 OP@c19 CP-XOR@c11",
      0x1.43ac88d55eb3fp+6},
-    {"identity", "greedy", "chain24", 4, 1024, false, false,
+    {"identity", "greedy", "chain24", 4, 1024, false,
      "OP@c8 CP-XOR@c16 OP@c19 CP-XOR@c11",
      0x1.43ac88d55eb3fp+6},
-    {"identity", "dp", "chain24", 4, 1024, false, true,
-     "OP@c8 CP-XOR@c16 OP@c19 CP-XOR@c11",
-     0x1.43ac88d55eb3fp+6},
-    {"identity", "greedy", "chain24", 4, 1024, false, true,
-     "OP@c8 CP-XOR@c16 OP@c19 CP-XOR@c11",
-     0x1.43ac88d55eb3fp+6},
-    {"identity", "dp", "aochain32", 4, 1024, false, false,
+    {"identity", "dp", "aochain32", 4, 1024, false,
      "OP@c16 OP@c24 OP@c7 OP@c8",
      0x1.ff307ebb1f174p+6},
-    {"identity", "greedy", "aochain32", 4, 1024, false, false,
+    {"identity", "greedy", "aochain32", 4, 1024, false,
      "OP@c16 OP@c24 OP@c7 OP@c8",
      0x1.ff307ebb1f174p+6},
-    {"identity", "dp", "aochain32", 4, 1024, false, true,
-     "OP@c16 OP@c24 OP@c7 OP@c8",
-     0x1.ff307ebb1f174p+6},
-    {"identity", "greedy", "aochain32", 4, 1024, false, true,
-     "OP@c16 OP@c24 OP@c7 OP@c8",
-     0x1.ff307ebb1f174p+6},
-    {"identity", "dp", "cmp32", 4, 1024, false, false,
+    {"identity", "dp", "cmp32", 4, 1024, false,
      "OP@andt27 OP@andt26 OP@andt25 OP@andt24",
      0x1.ea10da281fd07p+7},
-    {"identity", "greedy", "cmp32", 4, 1024, false, false,
+    {"identity", "greedy", "cmp32", 4, 1024, false,
      "OP@andt27 OP@andt26 OP@andt24 OP@andt25",
      0x1.ea10da281fd07p+7},
-    {"identity", "dp", "cmp32", 4, 1024, false, true,
-     "OP@andt27 OP@andt26 OP@andt25 OP@andt24",
-     0x1.ea10da281fd07p+7},
-    {"identity", "greedy", "cmp32", 4, 1024, false, true,
-     "OP@andt27 OP@andt26 OP@andt24 OP@andt25",
-     0x1.ea10da281fd07p+7},
-    {"identity", "dp", "dag500", 3, 1024, false, false,
+    {"identity", "dp", "dag500", 3, 1024, false,
      "OP@g198 OP@g357 OP@g348",
      0x1.0d92379b1fd1cp+10},
-    {"identity", "greedy", "dag500", 3, 1024, false, false,
-     "CP-OR@g122 OP@g139 OP@g348",
-     0x1.0dcb895d18e2cp+10},
-    {"identity", "dp", "dag500", 3, 1024, false, true,
-     "OP@g198 OP@g357 OP@g348",
-     0x1.0d92379b1fd1cp+10},
-    {"identity", "greedy", "dag500", 3, 1024, false, true,
+    {"identity", "greedy", "dag500", 3, 1024, false,
      "CP-OR@g122 OP@g139 OP@g348",
      0x1.0dcb895d18e2cp+10},
 };
@@ -167,6 +140,9 @@ inline constexpr ReferenceSweep kReferenceSweeps[] = {
      false, 6,
      "OP@andt27 OP@andt26 OP@andt25 OP@andt24 OP@andt28 OP@andt29",
      0x1.f6080004p+7},
+    {"identity", "dp", "cmp32", 1024, 0x1.999999999999ap-5, 0x0p+0, 4,
+     false, 4, "OP@andt23 OP@andt22 OP@andt21 OP@andt20",
+     0x1.e400a17c5p+6},
 };
 
 inline constexpr unsigned kReferenceThreads[] = {1, 2, 8};
@@ -200,7 +176,6 @@ inline PlannerOptions reference_options(const ReferencePlan& row,
     options.budget = row.budget;
     options.objective.num_patterns = row.patterns;
     options.prune_via_lint = row.prune_lint;
-    options.prune_via_analysis = row.prune_analysis;
     options.threads = threads;
     return options;
 }
@@ -247,12 +222,10 @@ inline void expect_reference_plans(std::string_view suite,
 inline const ReferencePlan* find_reference_plan(std::string_view suite,
                                                 std::string_view planner,
                                                 std::string_view circuit,
-                                                int budget,
-                                                bool prune_analysis) {
+                                                int budget) {
     for (const ReferencePlan& row : kReferencePlans)
         if (row.suite == suite && row.planner == planner &&
-            row.circuit == circuit && row.budget == budget &&
-            row.prune_analysis == prune_analysis)
+            row.circuit == circuit && row.budget == budget)
             return &row;
     return nullptr;
 }

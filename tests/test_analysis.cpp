@@ -1,8 +1,8 @@
 // Tests for the static analysis engine (src/analysis): post-dominator
 // tree, implication engine, failed-assumption constant learning,
 // untestability probing, observability bounds, certificate replay, the
-// PODEM differential, and the planner plan-identity contract of
-// PlannerOptions::prune_via_analysis.
+// PODEM differential, and the observe DP's zero-gain rule (plans pinned
+// to the recorded reference rows).
 
 #include <gtest/gtest.h>
 
@@ -498,50 +498,40 @@ TEST(PodemDifferential, RandomDagCorpus) {
             for (const fault::Fault& f : fault::all_faults(c)) {
                 const atpg::TestCube cube =
                     atpg::generate_test(c, f, atpg_options);
-                if (cube.outcome == atpg::Outcome::Detected)
+                if (cube.outcome == atpg::Outcome::Detected) {
                     EXPECT_FALSE(untestable.count({f.node.v, f.stuck_at1}))
                         << what << ": " << fault::fault_name(c, f)
                         << " is detectable yet claimed untestable";
+                }
             }
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Planner plan identity: prune_via_analysis changes nothing but time
+// Planner plan identity: the zero-gain rule changes nothing but work
 // ---------------------------------------------------------------------
 
-PlannerOptions plan_options(int budget, unsigned threads, bool prune) {
+PlannerOptions plan_options(int budget, unsigned threads) {
     PlannerOptions options;
     options.budget = budget;
     options.objective.num_patterns = 1024;
     options.threads = threads;
-    options.prune_via_analysis = prune;
     return options;
 }
 
 void expect_plan_identical(Planner& planner, const Circuit& c, int budget,
                            const char* what) {
-    // Both sides must also reproduce the plans recorded on the
-    // from-scratch evaluate_plan reference path.
-    const testref::ReferencePlan* ref_off = testref::find_reference_plan(
-        "identity", planner.name(), what, budget, false);
-    const testref::ReferencePlan* ref_on = testref::find_reference_plan(
-        "identity", planner.name(), what, budget, true);
-    ASSERT_NE(ref_off, nullptr) << what << " " << planner.name();
-    ASSERT_NE(ref_on, nullptr) << what << " " << planner.name();
+    // The rows were recorded on the from-scratch evaluate_plan reference
+    // path, with analysis pruning off and on (identical both ways).
+    const testref::ReferencePlan* ref = testref::find_reference_plan(
+        "identity", planner.name(), what, budget);
+    ASSERT_NE(ref, nullptr) << what << " " << planner.name();
     for (const unsigned threads : {1u, 2u, 8u}) {
         SCOPED_TRACE(std::string(what) + " " + std::string(planner.name()) +
                      " threads " + std::to_string(threads));
-        const Plan off = planner.plan(c, plan_options(budget, threads, false));
-        const Plan on = planner.plan(c, plan_options(budget, threads, true));
-        EXPECT_EQ(off.points, on.points);
-        // Bitwise score identity, not approximate equality: pruning
-        // removes only candidates whose score delta is exactly 0.0.
-        EXPECT_EQ(off.predicted_score, on.predicted_score);
-        EXPECT_EQ(off.candidates_pruned_analysis, 0u);
-        testref::expect_plan_matches(*ref_off, c, off);
-        testref::expect_plan_matches(*ref_on, c, on);
+        testref::expect_plan_matches(
+            *ref, c, planner.plan(c, plan_options(budget, threads)));
     }
 }
 
@@ -565,69 +555,47 @@ TEST(PlanIdentity, HoldsOnReconvergentDag500) {
 
 TEST(PlanIdentity, TransparentCircuitPrunesEverythingAndPlansNothing) {
     // A parity tree is fully transparent: every net has COP
-    // observability exactly 1.0, so with pruning on every observe
-    // candidate is dropped — and the plan stays identical (empty).
+    // observability exactly 1.0, so the observe DP drops every member,
+    // builds no region and plans nothing.
     const Circuit c = gen::parity_tree(32);
     DpPlanner planner;
-    PlannerOptions options = plan_options(8, 1, true);
+    PlannerOptions options = plan_options(8, 1);
     options.control_kinds.clear();  // observe-only planning
+    obs::Sink sink;
+    options.sink = &sink;
     const Plan plan = planner.plan(c, options);
     EXPECT_TRUE(plan.points.empty());
-    EXPECT_GT(plan.candidates_pruned_analysis, 0u);
-    options.prune_via_analysis = false;
-    const Plan unpruned = planner.plan(c, options);
-    EXPECT_EQ(plan.points, unpruned.points);
-    EXPECT_EQ(plan.predicted_score, unpruned.predicted_score);
+    EXPECT_GT(sink.value(obs::Counter::CandidatesPrunedAnalysis), 0u);
+    EXPECT_EQ(sink.value(obs::Counter::DpRegionsBuilt), 0u);
+    const fault::CollapsedFaults faults = fault::singleton_faults(c);
+    EXPECT_EQ(plan.predicted_score,
+              evaluate_plan(c, faults, {}, options.objective).score);
 }
 
 TEST(PlanIdentity, ThresholdSweepAcceptsAtSameBudget) {
-    const Circuit c = gen::suite_entry("cmp32").build();
-    DpPlanner planner;
-    ThresholdGoal goal;
-    goal.min_detection = 0.05;
-    PlannerOptions base = plan_options(0, 2, false);
-    const ThresholdResult off =
-        solve_min_points(c, planner, base, goal, 4);
-    base.prune_via_analysis = true;
-    const ThresholdResult on = solve_min_points(c, planner, base, goal, 4);
-    EXPECT_EQ(off.feasible, on.feasible);
-    EXPECT_EQ(off.budget_used, on.budget_used);
-    EXPECT_EQ(off.plan.points, on.plan.points);
-    EXPECT_EQ(off.evaluation.score, on.evaluation.score);
-}
-
-TEST(PlanIdentity, PruneCertificatesReplayAgainstOriginalCircuit) {
-    // The planner renumbers nodes when applying test points; its
-    // certificates must nevertheless replay against the circuit the
-    // caller handed in.
-    for (const char* name : {"chain24", "dag500"}) {
-        const Circuit c = gen::suite_entry(name).build();
-        DpPlanner dp;
-        GreedyPlanner greedy;
-        for (Planner* planner : {static_cast<Planner*>(&dp),
-                                 static_cast<Planner*>(&greedy)}) {
-            const Plan plan =
-                planner->plan(c, plan_options(3, 1, true));
-            if (plan.candidates_pruned_analysis > 0)
-                EXPECT_FALSE(plan.prune_certificates.empty())
-                    << name << " " << planner->name();
-            for (const Certificate& cert : plan.prune_certificates)
-                EXPECT_EQ(cert.kind, CertKind::TransparentChain);
-            expect_all_certificates_replay(c, plan.prune_certificates,
-                                           name);
-        }
-    }
+    // The cmp32 TPI-MIN sweep recorded with analysis pruning off and on
+    // (both accepted the same budget, plan and score).
+    testref::expect_reference_sweep("identity");
 }
 
 TEST(PlanIdentity, PrunedCounterIsReportedToSink) {
+    // The zero-gain counter is deterministic: the same total at every
+    // thread count, and nonzero where observe DPs meet transparent nets.
     const Circuit c = gen::suite_entry("dag500").build();
-    obs::Sink sink;
-    DpPlanner planner;
-    PlannerOptions options = plan_options(3, 1, true);
-    options.sink = &sink;
-    const Plan plan = planner.plan(c, options);
-    EXPECT_EQ(sink.value(obs::Counter::CandidatesPrunedAnalysis),
-              plan.candidates_pruned_analysis);
+    std::uint64_t serial = 0;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+        obs::Sink sink;
+        DpPlanner planner;
+        PlannerOptions options = plan_options(3, threads);
+        options.control_kinds.clear();
+        options.sink = &sink;
+        planner.plan(c, options);
+        const std::uint64_t pruned =
+            sink.value(obs::Counter::CandidatesPrunedAnalysis);
+        if (threads == 1) serial = pruned;
+        EXPECT_EQ(pruned, serial) << "threads " << threads;
+    }
+    EXPECT_GT(serial, 0u);
 }
 
 }  // namespace

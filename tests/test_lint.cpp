@@ -14,7 +14,7 @@
 #include "gen/random_circuits.hpp"
 #include "lint/lint.hpp"
 #include "lint/report.hpp"
-#include "lint/ternary.hpp"
+#include "analysis/ternary.hpp"
 #include "sim/logic_sim.hpp"
 #include "testability/cop.hpp"
 #include "tpi/evaluate.hpp"
@@ -26,7 +26,7 @@ namespace {
 
 using namespace tpi;
 using namespace tpi::netlist;
-using lint::Ternary;
+using analysis::Ternary;
 
 /// The planted lint gadget zoo: one trigger per built-in rule.
 ///   tie (CONST0), k = AND(u1, tie)  -> constant nets
@@ -87,7 +87,7 @@ std::optional<bool> exhaustive_constant(const Circuit& circuit, NodeId v) {
 // ---- ternary evaluation ------------------------------------------------
 
 TEST(Ternary, GateDominanceRules) {
-    using lint::eval_ternary;
+    using analysis::eval_ternary;
     const Ternary zx[] = {Ternary::Zero, Ternary::X};
     const Ternary ox[] = {Ternary::One, Ternary::X};
     const Ternary xx[] = {Ternary::X, Ternary::X};
@@ -121,17 +121,17 @@ TEST(Ternary, EvaluateMatchesConcreteSimulation) {
     for (std::uint32_t assignment = 0; assignment < (1u << n); ++assignment) {
         std::vector<Ternary> in(n);
         for (std::size_t i = 0; i < n; ++i)
-            in[i] = lint::to_ternary(((assignment >> i) & 1) != 0);
+            in[i] = analysis::to_ternary(((assignment >> i) & 1) != 0);
         const std::vector<Ternary> values =
-            lint::evaluate_ternary(circuit, in);
+            analysis::evaluate_ternary(circuit, in);
         for (NodeId v : circuit.all_nodes()) {
-            ASSERT_TRUE(lint::is_defined(values[v.v]));
+            ASSERT_TRUE(analysis::is_defined(values[v.v]));
             std::vector<std::uint64_t> words(n);
             for (std::size_t i = 0; i < n; ++i)
                 words[i] = ((assignment >> i) & 1) ? ~std::uint64_t{0} : 0;
             sim::LogicSimulator simulator(circuit);
             simulator.simulate_block(words);
-            EXPECT_EQ(lint::ternary_bool(values[v.v]),
+            EXPECT_EQ(analysis::ternary_bool(values[v.v]),
                       (simulator.value(v) & 1) != 0);
         }
     }
@@ -139,7 +139,7 @@ TEST(Ternary, EvaluateMatchesConcreteSimulation) {
 
 TEST(Ternary, ConstantPropagationOnGadgets) {
     const Circuit circuit = lint_gadget_circuit();
-    const std::vector<Ternary> value = lint::propagate_constants(circuit);
+    const std::vector<Ternary> value = analysis::propagate_constants(circuit);
     EXPECT_EQ(value[circuit.find("tie").v], Ternary::Zero);
     EXPECT_EQ(value[circuit.find("k").v], Ternary::Zero);
     EXPECT_EQ(value[circuit.find("u1").v], Ternary::X);
@@ -153,21 +153,22 @@ TEST(Ternary, ProvenConstantsHoldExhaustively) {
     const Circuit circuits[] = {lint_gadget_circuit(), gen::c17(),
                                 gen::equality_comparator(4)};
     for (const Circuit& circuit : circuits) {
-        const std::vector<Ternary> value = lint::propagate_constants(circuit);
+        const std::vector<Ternary> value =
+            analysis::propagate_constants(circuit);
         for (NodeId v : circuit.all_nodes()) {
-            if (!lint::is_defined(value[v.v])) continue;
+            if (!analysis::is_defined(value[v.v])) continue;
             const std::optional<bool> truth = exhaustive_constant(circuit, v);
             ASSERT_TRUE(truth.has_value())
                 << circuit.name() << ": " << circuit.node_name(v);
-            EXPECT_EQ(*truth, lint::ternary_bool(value[v.v]));
+            EXPECT_EQ(*truth, analysis::ternary_bool(value[v.v]));
         }
     }
 }
 
 TEST(Ternary, ObservableMaskOnGadgets) {
     const Circuit circuit = lint_gadget_circuit();
-    const std::vector<Ternary> value = lint::propagate_constants(circuit);
-    const std::vector<bool> obs = lint::observable_mask(circuit, value);
+    const std::vector<Ternary> value = analysis::propagate_constants(circuit);
+    const std::vector<bool> obs = analysis::observable_mask(circuit, value);
     // u1's only path runs through AND(u1, tie) with tie proven 0.
     EXPECT_FALSE(obs[circuit.find("u1").v]);
     // k is constant but still observable (its OR sibling is free).
@@ -187,16 +188,18 @@ TEST(Ternary, BlockedNetsHaveExactlyZeroCopObservability) {
                                                  .window = 24,
                                                  .seed = 7})};
     for (const Circuit& circuit : circuits) {
-        const std::vector<Ternary> value = lint::propagate_constants(circuit);
-        const std::vector<bool> obs = lint::observable_mask(circuit, value);
+        const std::vector<Ternary> value =
+            analysis::propagate_constants(circuit);
+        const std::vector<bool> obs =
+            analysis::observable_mask(circuit, value);
         const testability::CopResult cop = testability::compute_cop(circuit);
         for (NodeId v : circuit.all_nodes()) {
             if (!obs[v.v]) {
                 EXPECT_EQ(cop.obs[v.v], 0.0);
             }
-            if (lint::is_defined(value[v.v])) {
+            if (analysis::is_defined(value[v.v])) {
                 EXPECT_EQ(cop.c1[v.v],
-                          lint::ternary_bool(value[v.v]) ? 1.0 : 0.0);
+                          analysis::ternary_bool(value[v.v]) ? 1.0 : 0.0);
             }
         }
     }
@@ -491,7 +494,8 @@ TEST(LintPruning, ComputePruningMatchesReportArtifacts) {
     std::size_t dropped = 0;
     for (NodeId v : circuit.all_nodes()) {
         const bool expect_drop =
-            lint::is_defined(report.ternary[v.v]) || !report.observable[v.v];
+            analysis::is_defined(report.ternary[v.v]) ||
+            !report.observable[v.v];
         EXPECT_EQ(pruning.drop_candidate[v.v], expect_drop)
             << circuit.node_name(v);
         if (expect_drop) ++dropped;

@@ -116,7 +116,8 @@ TEST(ServeProtocol, RejectsUnknownMethodAndUnknownKey) {
 // `simd_eval` and `eval_epsilon` are unknown keys, and `exact_eval`
 // is the score method's reference-path switch.
 TEST(ServeProtocol, RejectsRemovedScoringKeys) {
-    for (const char* key : {"simd_eval", "eval_epsilon"}) {
+    for (const char* key :
+         {"simd_eval", "eval_epsilon", "prune_analysis"}) {
         try {
             serve::parse_request(
                 std::string(R"({"method": "plan", "session": "s", )"
@@ -609,49 +610,6 @@ TEST(ServeAnalyze, RoundTripLearnsConstantsAndUntestableFaults) {
     ASSERT_NE(result->find("untestable_faults"), nullptr);
     EXPECT_FALSE(result->find("untestable_faults")->array.empty());
     EXPECT_GE(result->find("zero_gain_observe_sites")->number, 1.0);
-}
-
-TEST(ServeAnalyze, PlanWithAnalysisPruneMatchesUnprunedPlan) {
-    serve::Server server({});
-    server.execute_line(
-        R"({"method": "open", "session": "ap", "circuit": "chain24", )"
-        R"("format": "suite", "report": false})");
-    const char* base =
-        R"({"method": "plan", "session": "ap", "options": {"budget": 2, )"
-        R"("patterns": 256, "planner": "dp", "seed": 5)";
-    const std::string off = server.execute_line(
-        std::string(base) + R"(}, "report": false})");
-    const std::string on = server.execute_line(
-        std::string(base) +
-        R"(, "prune_analysis": true}, "report": false})");
-    EXPECT_EQ(response_code(off), "");
-    EXPECT_EQ(response_code(on), "");
-
-    obs::json::Value doc_off;
-    obs::json::Value doc_on;
-    std::string error;
-    ASSERT_TRUE(obs::json::parse(off, doc_off, error)) << error;
-    ASSERT_TRUE(obs::json::parse(on, doc_on, error)) << error;
-    const obs::json::Value* result_off = doc_off.find("result");
-    const obs::json::Value* result_on = doc_on.find("result");
-    ASSERT_NE(result_off, nullptr);
-    ASSERT_NE(result_on, nullptr);
-
-    // The prune is exact by construction: identical points, bitwise
-    // identical score, and the pruned counter appears only when asked.
-    EXPECT_EQ(result_off->find("predicted_score")->number,
-              result_on->find("predicted_score")->number);
-    const obs::json::Value* points_off = result_off->find("points");
-    const obs::json::Value* points_on = result_on->find("points");
-    ASSERT_EQ(points_off->array.size(), points_on->array.size());
-    for (std::size_t i = 0; i < points_off->array.size(); ++i) {
-        EXPECT_EQ(points_off->array[i].find("node")->string,
-                  points_on->array[i].find("node")->string);
-        EXPECT_EQ(points_off->array[i].find("kind")->string,
-                  points_on->array[i].find("kind")->string);
-    }
-    EXPECT_EQ(result_off->find("candidates_pruned_analysis"), nullptr);
-    ASSERT_NE(result_on->find("candidates_pruned_analysis"), nullptr);
 }
 
 TEST(ServeAnalyze, WorkCapsAreValidatedNotClamped) {

@@ -266,7 +266,7 @@ class SimdEvalPlannerInvariance
 TEST_P(SimdEvalPlannerInvariance, PlansIdenticalSimdOnOff) {
     for (const char* planner : {"dp", "greedy"}) {
         const testref::ReferencePlan* row = testref::find_reference_plan(
-            "simd", planner, GetParam(), 4, false);
+            "simd", planner, GetParam(), 4);
         ASSERT_NE(row, nullptr) << planner;
         const Circuit circuit = gen::suite_entry(GetParam()).build();
         const auto p = testref::make_planner(planner);

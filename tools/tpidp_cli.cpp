@@ -128,7 +128,6 @@ struct Args {
     bool deadline_set = false;  // --deadline-ms given (must be > 0)
     bool json = false;         // lint/analyze: machine-readable output
     bool prune_lint = false;   // tpi: lint-based candidate pruning
-    bool prune_analysis = false;  // tpi: zero-gain observe pruning
     bool flow_proxy = false;   // tpi: O(n+e) greedy observe ranking
     std::size_t max_findings = 64;  // lint: per-rule finding cap
     // analyze work caps (validated, not clamped — see AnalysisOptions).
@@ -200,10 +199,6 @@ void print_help() {
         "                    untestability          (default 4096)\n"
         "  --prune-lint      tpi: drop candidates on constant or\n"
         "                    unobservable nets before planning\n"
-        "  --prune-analysis  tpi: drop observe candidates the static\n"
-        "                    analysis proves zero-gain (COP observability\n"
-        "                    exactly 1.0); plans and scores are\n"
-        "                    bit-identical with or without this flag\n"
         "  --flow-proxy      tpi: rank the greedy planner's observe\n"
         "                    candidates with the O(nodes + edges)\n"
         "                    deficit-flow sweep instead of the per-fault\n"
@@ -303,8 +298,6 @@ Args parse_args(int argc, char** argv, int first) {
             args.json = true;
         else if (arg == "--prune-lint")
             args.prune_lint = true;
-        else if (arg == "--prune-analysis")
-            args.prune_analysis = true;
         else if (arg == "--flow-proxy")
             args.flow_proxy = true;
         else if (arg == "--max-findings")
@@ -589,7 +582,6 @@ int cmd_tpi(const Args& args, RunContext& ctx) {
     options.deadline = &deadline;
     options.threads = args.threads;
     options.prune_via_lint = args.prune_lint;
-    options.prune_via_analysis = args.prune_analysis;
     options.greedy_flow_proxy = args.flow_proxy;
     options.sink = ctx.sink_ptr();
 
@@ -599,10 +591,6 @@ int cmd_tpi(const Args& args, RunContext& ctx) {
         std::cout << "lint pruning: " << plan.candidates_pruned
                   << " candidate nets dropped, "
                   << plan.candidates_considered << " admitted\n";
-    if (args.prune_analysis)
-        std::cout << "analysis pruning: " << plan.candidates_pruned_analysis
-                  << " zero-gain observe candidates dropped ("
-                  << plan.prune_certificates.size() << " certificates)\n";
     std::cout << plan.points.size() << " test points ("
               << util::fmt_fixed(timer.seconds(), 2) << " s):\n";
     for (const auto& tp : plan.points)
@@ -726,7 +714,11 @@ void snapshot_pool_stats(obs::Sink& sink) {
 void emit_observability(const Args& args, const std::string& command,
                         RunContext& ctx, int exit_code) {
     if (!ctx.enabled) return;
-    snapshot_pool_stats(ctx.sink);
+    // A one-thread run never starts the shared pool, and reading its
+    // stats would: after a std::bad_alloc there may be no address space
+    // left for the helper threads' stacks.
+    if (util::ThreadPool::resolve(args.threads) > 1)
+        snapshot_pool_stats(ctx.sink);
     ctx.report.command = command;
     // Basename only: the report must not vary with where the checkout
     // lives (the golden-file tests diff it byte-for-byte).
@@ -1004,6 +996,11 @@ int main(int argc, char** argv) {
         } catch (const tpi::Error& e) {
             std::cerr << "error: " << e.what() << "\n";
             exit_code = static_cast<int>(e.code());
+        } catch (const std::exception& e) {
+            // std::bad_alloc included: the engines' allocations are
+            // released by the unwind, so the run report still goes out.
+            std::cerr << "internal error: " << e.what() << "\n";
+            exit_code = 1;
         }
         // An interrupted run exits 5 even when the engine finished its
         // wind-down cleanly; the metrics report then carries
